@@ -246,10 +246,11 @@ func gate(w trace.Window, c, t int) float64 {
 
 // forward runs the model on one window. It returns the aggregate prediction
 // and, when backprop is requested (gScale > 0), performs the full joint
-// backward pass including the auxiliary per-CC loss. All intermediates come
-// from pooled scratch; only the returned prediction is freshly allocated
-// (callers may hold or mutate it).
-func (p *Prism5G) forward(w trace.Window, gScale float64) []float64 {
+// backward pass including the auxiliary per-CC loss. A non-nil perCC
+// receives each carrier head's forecast (perCC[c] must hold Horizon
+// values). All intermediates come from pooled scratch; only the returned
+// prediction is freshly allocated (callers may hold or mutate it).
+func (p *Prism5G) forward(w trace.Window, gScale float64, perCC [][]float64) []float64 {
 	C := trace.MaxCC
 	T := p.histT
 	H := p.Opts.Hidden
@@ -310,6 +311,9 @@ func (p *Prism5G) forward(w trace.Window, gScale float64) []float64 {
 			hp[i] = hcs[c][i] + hf[i]
 		}
 		ycs[c] = p.head.ForwardTape(&s.htapes[c], hp)
+		if perCC != nil {
+			copy(perCC[c], ycs[c])
+		}
 		for h := 0; h < p.Opts.Horizon; h++ {
 			ypred[h] += ycs[c][h]
 		}
@@ -364,7 +368,7 @@ func (p *Prism5G) forward(w trace.Window, gScale float64) []float64 {
 
 // ForwardBackward implements predictors.SeqModel.
 func (p *Prism5G) ForwardBackward(w trace.Window, gScale float64) []float64 {
-	return p.forward(w, gScale)
+	return p.forward(w, gScale, nil)
 }
 
 // Train implements predictors.Predictor.
@@ -374,58 +378,17 @@ func (p *Prism5G) Train(train, val []trace.Window) predictors.TrainReport {
 
 // Predict implements predictors.Predictor.
 func (p *Prism5G) Predict(w trace.Window) []float64 {
-	return p.forward(w, 0)
+	return p.forward(w, 0, nil)
 }
 
 // PredictPerCC returns the per-carrier horizon forecasts (scaled), the
-// decomposition shown in the paper's Fig 33/34.
+// decomposition shown in the paper's Fig 33/34. They sum, in carrier
+// order, to Predict's aggregate exactly.
 func (p *Prism5G) PredictPerCC(w trace.Window) [][]float64 {
-	C := trace.MaxCC
-	T := p.histT
-	H := p.Opts.Hidden
-	out := make([][]float64, C)
-	s := p.pool.Get().(*prismScratch)
-	s.ar.Reset()
-	// Re-run forward capturing per-CC heads (duplicated on purpose: the
-	// hot path in forward stays allocation-lean).
-	seq := s.ar.Rows(T)
-	hcs := s.ar.Rows(C)
-	maskFlat := s.ar.Floats(C * T)
-	for c := 0; c < C; c++ {
-		for t := 0; t < T; t++ {
-			g := 1.0
-			if p.Opts.UseState {
-				g = gate(w, c, t)
-			}
-			maskFlat[c*T+t] = gate(w, c, t)
-			if g == 1 {
-				seq[t] = w.X[c][t]
-			} else {
-				seq[t] = zeroFeat
-			}
-		}
-		hcs[c], _ = p.rnnFor(c).run(&s.rnns[c], seq)
+	out := make([][]float64, trace.MaxCC)
+	for c := range out {
+		out[c] = make([]float64, p.Opts.Horizon)
 	}
-	hf := s.ar.Floats(H)
-	if p.Opts.UseFusion {
-		fin := s.ar.Floats(C*H + H)
-		for c := 0; c < C; c++ {
-			copy(fin[c*H:(c+1)*H], hcs[c])
-		}
-		if p.Opts.UseState {
-			copy(fin[C*H:], p.embed.ForwardInto(s.ar.Floats(H), maskFlat))
-		}
-		hf = p.fusion.ForwardTape(&s.ftape, fin)
-	}
-	hp := s.ar.Floats(H)
-	for c := 0; c < C; c++ {
-		for i := 0; i < H; i++ {
-			hp[i] = hcs[c][i] + hf[i]
-		}
-		out[c] = append([]float64(nil), p.head.ForwardTape(&s.htapes[c], hp)...)
-	}
-	p.pool.Put(s)
+	p.forward(w, 0, out)
 	return out
 }
-
-func zeroVec(n int) []float64 { return make([]float64, n) }

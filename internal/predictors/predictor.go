@@ -215,7 +215,8 @@ func FlattenAggFeatures(w trace.Window) []float64 {
 
 // TrainOpts configures neural-network training.
 type TrainOpts struct {
-	Epochs   int
+	Epochs int
+	// Batch is the minibatch size (<= 0 means DefaultTrainOpts' 128).
 	Batch    int
 	LR       float64
 	Patience int // early-stop after this many non-improving epochs
@@ -239,6 +240,29 @@ func DefaultTrainOpts() TrainOpts {
 		MaxRetries: 2, LRBackoff: 0.5, DivergeFactor: 50}
 }
 
+// withDefaults is the one place TrainOpts defaults are applied: a zero
+// Epochs selects DefaultTrainOpts wholesale, and each unset or out-of-range
+// Batch, MaxRetries, LRBackoff and DivergeFactor takes its default.
+func (o TrainOpts) withDefaults() TrainOpts {
+	d := DefaultTrainOpts()
+	if o.Epochs == 0 {
+		return d
+	}
+	if o.Batch <= 0 {
+		o.Batch = d.Batch
+	}
+	if o.MaxRetries == 0 {
+		o.MaxRetries = d.MaxRetries
+	}
+	if o.LRBackoff <= 0 || o.LRBackoff >= 1 {
+		o.LRBackoff = d.LRBackoff
+	}
+	if o.DivergeFactor <= 1 {
+		o.DivergeFactor = d.DivergeFactor
+	}
+	return o
+}
+
 // SeqModel is the minimal contract the shared training loop needs. It is
 // implemented by the neural baselines here and by Prism5G in internal/core.
 type SeqModel interface {
@@ -249,8 +273,8 @@ type SeqModel interface {
 	ForwardBackward(w trace.Window, gScale float64) []float64
 }
 
-// BatchSeqModel is a SeqModel with a whole-minibatch path. TrainLoop uses
-// it when available: the batch runs through blocked batched-GEMM kernels
+// BatchSeqModel is a SeqModel with a whole-minibatch path. The training
+// loop uses it when available: the batch runs through blocked batched-GEMM kernels
 // instead of one GEMV per sample. Implementations must keep results
 // bit-identical to len(ws) successive ForwardBackward calls (same forward
 // values, parameter-gradient contributions accumulated in ascending sample
@@ -273,124 +297,167 @@ type BatchSeqModel interface {
 // MaxRetries times. Degraded field data makes both failure modes routine
 // rather than exceptional.
 func TrainLoop(m SeqModel, train, val []trace.Window, opts TrainOpts) TrainReport {
-	if opts.Epochs == 0 {
-		opts = DefaultTrainOpts()
+	rep, _ := trainLoop(m, newSliceSource(train), newSliceSource(val), opts)
+	return rep
+}
+
+// batchSource feeds trainLoop its windows. Both methods yield windows that
+// are all valid (see ValidWindow) in batches of at most batch; a yielded
+// slice is only valid until yield returns.
+type batchSource interface {
+	// epoch yields one epoch's training minibatches, shuffled with r, and
+	// returns how many windows it yielded.
+	epoch(r *rng.Source, batch int, yield func([]trace.Window)) (int, error)
+	// score yields every window once, in order, for evaluation.
+	score(batch int, yield func([]trace.Window)) error
+}
+
+// sliceSource is the in-memory batchSource behind TrainLoop. Windows are
+// filtered once up front; every epoch reshuffles one persistent
+// permutation in place (never reset, not even across divergence retries)
+// and gathers each minibatch into a reused buffer.
+type sliceSource struct {
+	ws    []trace.Window
+	order []int
+	buf   []trace.Window
+}
+
+func newSliceSource(ws []trace.Window) *sliceSource {
+	ws, _ = FilterValid(ws)
+	return &sliceSource{ws: ws}
+}
+
+func (s *sliceSource) epoch(r *rng.Source, batch int, yield func([]trace.Window)) (int, error) {
+	if s.order == nil {
+		s.order = make([]int, len(s.ws))
+		for i := range s.order {
+			s.order[i] = i
+		}
+		s.buf = make([]trace.Window, 0, min(batch, len(s.ws)))
 	}
-	if opts.MaxRetries == 0 {
-		opts.MaxRetries = 2
+	order := s.order
+	r.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
+	for bi := 0; bi < len(order); bi += batch {
+		s.buf = s.buf[:0]
+		for _, wi := range order[bi:min(bi+batch, len(order))] {
+			s.buf = append(s.buf, s.ws[wi])
+		}
+		yield(s.buf)
 	}
-	if opts.LRBackoff <= 0 || opts.LRBackoff >= 1 {
-		opts.LRBackoff = 0.5
+	return len(order), nil
+}
+
+func (s *sliceSource) score(batch int, yield func([]trace.Window)) error {
+	for bi := 0; bi < len(s.ws); bi += batch {
+		yield(s.ws[bi:min(bi+batch, len(s.ws))])
 	}
-	if opts.DivergeFactor <= 1 {
-		opts.DivergeFactor = 50
+	return nil
+}
+
+// sumSqErr accumulates squared prediction error over minibatches.
+type sumSqErr struct {
+	se float64
+	n  int
+}
+
+// add runs ws through m — one ForwardBackwardBatch call when m is a
+// BatchSeqModel, per-sample ForwardBackward otherwise — backpropagating at
+// gScale when it is positive, and adds every squared horizon error in
+// sample order. Summing into one running total, never per-batch subtotals,
+// keeps the pooled RMSE bit-identical however the windows are batched.
+func (a *sumSqErr) add(m SeqModel, ws []trace.Window, gScale float64) {
+	if bm, ok := m.(BatchSeqModel); ok {
+		for k, y := range bm.ForwardBackwardBatch(ws, gScale) {
+			a.addOne(y, ws[k].Y)
+		}
+		return
 	}
+	for _, w := range ws {
+		a.addOne(m.ForwardBackward(w, gScale), w.Y)
+	}
+}
+
+func (a *sumSqErr) addOne(y, truth []float64) {
+	for i := range y {
+		d := y[i] - truth[i]
+		a.se += d * d
+		a.n++
+	}
+}
+
+// rmse returns the pooled RMSE, NaN when nothing was added.
+func (a *sumSqErr) rmse() float64 {
+	if a.n == 0 {
+		return math.NaN()
+	}
+	return math.Sqrt(a.se / float64(a.n))
+}
+
+// trainLoop is the one training loop behind TrainLoop and TrainLoopStream;
+// the sources decide only which windows each minibatch holds. A source
+// error aborts training and is returned alongside the best-so-far report.
+func trainLoop(m SeqModel, train, val batchSource, opts TrainOpts) (TrainReport, error) {
+	opts = opts.withDefaults()
 	start := time.Now()
 	sp := obs.StartSpan("train.loop")
-	train, _ = FilterValid(train)
-	val, _ = FilterValid(val)
 	src := rng.New(opts.Seed ^ 0xfeed)
-	initW := snapshot(m.Params())
+	ps := m.Params()
+	initW := snapshotInto(nil, ps)
 	bestVal := math.Inf(1)
 	var bestW [][]float64
 	epochs := 0
 	retries := 0
 	diverged := false
-	bm, batched := m.(BatchSeqModel)
-	var batchBuf []trace.Window // gathered minibatch, reused across batches
-	evalSet := func(ws []trace.Window) float64 {
-		var se float64
-		n := 0
-		if batched && opts.Batch > 0 {
-			for bi := 0; bi < len(ws); bi += opts.Batch {
-				end := bi + opts.Batch
-				if end > len(ws) {
-					end = len(ws)
-				}
-				for k, y := range bm.ForwardBackwardBatch(ws[bi:end], 0) {
-					for i := range y {
-						d := y[i] - ws[bi+k].Y[i]
-						se += d * d
-						n++
-					}
-				}
-			}
-		} else {
-			for _, w := range ws {
-				y := m.ForwardBackward(w, 0)
-				for i := range y {
-					d := y[i] - w.Y[i]
-					se += d * d
-					n++
-				}
-			}
+	var err error
+
+	// The yield callbacks are built once per run: the sources are
+	// interfaces, so whatever they capture lives on the heap.
+	var scoreSE sumSqErr
+	scoreBatch := func(b []trace.Window) { scoreSE.add(m, b, 0) }
+	score := func(s batchSource) (float64, error) {
+		scoreSE = sumSqErr{}
+		if err := s.score(opts.Batch, scoreBatch); err != nil {
+			return math.NaN(), err
 		}
-		if n == 0 {
-			return math.NaN()
-		}
-		return math.Sqrt(se / float64(n))
+		return scoreSE.rmse(), nil
 	}
-	order := make([]int, len(train))
-	for i := range order {
-		order[i] = i
+	var opt *nn.Adam
+	var trainSE sumSqErr
+	var gradN float64
+	step := func(b []trace.Window) {
+		trainSE.add(m, b, 1.0/float64(len(b)))
+		// The epoch's last batch is not known until the source runs dry,
+		// so read the norm before every Step (which zeroes the
+		// accumulators) and keep the latest.
+		gradN = gradNorm(ps)
+		opt.Step()
 	}
+
 	lr := opts.LR
 	var epochStats []EpochStat
+attempts:
 	for attempt := 0; ; attempt++ {
-		opt := nn.NewAdam(m.Params(), lr)
+		opt = nn.NewAdam(ps, lr)
 		badEpochs := 0
 		diverged = false
 		for ep := 0; ep < opts.Epochs; ep++ {
 			epochs++
 			epStart := time.Now()
-			src.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
-			var trainSE float64
-			trainN := 0
-			gradN := math.NaN()
-			for bi := 0; bi < len(order); bi += opts.Batch {
-				end := bi + opts.Batch
-				if end > len(order) {
-					end = len(order)
-				}
-				scale := 1.0 / float64(end-bi)
-				if batched {
-					batchBuf = batchBuf[:0]
-					for _, wi := range order[bi:end] {
-						batchBuf = append(batchBuf, train[wi])
-					}
-					for k, y := range bm.ForwardBackwardBatch(batchBuf, scale) {
-						for i := range y {
-							d := y[i] - batchBuf[k].Y[i]
-							trainSE += d * d
-							trainN++
-						}
-					}
-				} else {
-					for _, wi := range order[bi:end] {
-						y := m.ForwardBackward(train[wi], scale)
-						for i := range y {
-							d := y[i] - train[wi].Y[i]
-							trainSE += d * d
-							trainN++
-						}
-					}
-				}
-				if end == len(order) {
-					// Last batch of the epoch: read the gradient norm now,
-					// before Adam's Step zeroes the accumulators.
-					gradN = gradNorm(m.Params())
-				}
-				opt.Step()
+			trainSE, gradN = sumSqErr{}, math.NaN()
+			var seen int
+			var v float64
+			if seen, err = train.epoch(src, opts.Batch, step); err != nil {
+				break attempts
 			}
-			v := evalSet(val)
-			if math.IsNaN(v) && len(train) > 0 {
-				v = evalSet(train)
+			if v, err = score(val); err != nil {
+				break attempts
 			}
-			epTrain := math.NaN()
-			if trainN > 0 {
-				epTrain = math.Sqrt(trainSE / float64(trainN))
+			if math.IsNaN(v) && seen > 0 {
+				if v, err = score(train); err != nil {
+					break attempts
+				}
 			}
-			es := EpochStat{Epoch: epochs, TrainRMSE: epTrain, ValRMSE: v,
+			es := EpochStat{Epoch: epochs, TrainRMSE: trainSE.rmse(), ValRMSE: v,
 				LR: lr, GradNorm: gradN, Duration: time.Since(epStart)}
 			epochStats = append(epochStats, es)
 			if r := obs.Default(); r.Enabled() {
@@ -401,13 +468,13 @@ func TrainLoop(m SeqModel, train, val []trace.Window, opts TrainOpts) TrainRepor
 					"lr": es.LR, "grad_norm": es.GradNorm, "dur_s": es.Duration.Seconds(),
 				})
 			}
-			if len(train) > 0 && (!finite(v) || (finite(bestVal) && v > opts.DivergeFactor*bestVal)) {
+			if seen > 0 && (!finite(v) || (finite(bestVal) && v > opts.DivergeFactor*bestVal)) {
 				diverged = true
 				break
 			}
 			if v < bestVal-1e-6 {
 				bestVal = v
-				bestW = snapshotInto(bestW, m.Params())
+				bestW = snapshotInto(bestW, ps)
 				badEpochs = 0
 			} else {
 				badEpochs++
@@ -423,9 +490,9 @@ func TrainLoop(m SeqModel, train, val []trace.Window, opts TrainOpts) TrainRepor
 		// training never produced a finite loss) and back off the LR.
 		retries++
 		if bestW != nil {
-			restore(m.Params(), bestW)
+			restore(ps, bestW)
 		} else {
-			restore(m.Params(), initW)
+			restore(ps, initW)
 		}
 		lr *= opts.LRBackoff
 		if r := obs.Default(); r.Enabled() {
@@ -436,22 +503,27 @@ func TrainLoop(m SeqModel, train, val []trace.Window, opts TrainOpts) TrainRepor
 		}
 	}
 	if bestW != nil {
-		restore(m.Params(), bestW)
-	} else if diverged {
+		restore(ps, bestW)
+	} else if diverged || err != nil {
 		// Never saw a finite loss: the initialization is still the best
 		// known state, and at least its forward pass is finite.
-		restore(m.Params(), initW)
+		restore(ps, initW)
 	}
-	sp.EndWith(map[string]any{"epochs": epochs, "retries": retries, "diverged": diverged})
+	trainRMSE := math.NaN()
+	if err == nil {
+		trainRMSE, err = score(train)
+	}
+	sp.EndWith(map[string]any{"epochs": epochs, "retries": retries,
+		"diverged": diverged, "stream_err": err != nil})
 	return TrainReport{
 		Epochs:     epochs,
-		TrainRMSE:  evalSet(train),
+		TrainRMSE:  trainRMSE,
 		ValRMSE:    bestVal,
 		Duration:   time.Since(start),
 		EpochStats: epochStats,
 		Retries:    retries,
 		Diverged:   diverged,
-	}
+	}, err
 }
 
 // gradNorm returns the L2 norm over every parameter gradient accumulator.
@@ -465,12 +537,8 @@ func gradNorm(ps []*nn.Param) float64 {
 	return math.Sqrt(s)
 }
 
-func snapshot(ps []*nn.Param) [][]float64 {
-	return snapshotInto(nil, ps)
-}
-
 // snapshotInto copies the weights into dst, reusing its buffers when the
-// shapes still match (they always do within one TrainLoop run).
+// shapes still match (they always do within one training run).
 func snapshotInto(dst [][]float64, ps []*nn.Param) [][]float64 {
 	if len(dst) != len(ps) {
 		dst = make([][]float64, len(ps))

@@ -3,6 +3,7 @@ package predictors
 import (
 	"math"
 	"testing"
+	"time"
 
 	"prism5g/internal/ml"
 	"prism5g/internal/rng"
@@ -231,6 +232,23 @@ func TestEarlyStopping(t *testing.T) {
 	rep := p.Train(train, val)
 	if rep.Epochs >= 100 {
 		t.Fatalf("early stopping never fired: %d epochs", rep.Epochs)
+	}
+}
+
+// TestTrainLoopZeroBatchTerminates checks that an unset Batch takes the
+// default instead of leaving the minibatch cursor stuck at zero forever.
+func TestTrainLoopZeroBatchTerminates(t *testing.T) {
+	_, _, train, val, _ := problem(t, 11)
+	opts := TrainOpts{Epochs: 2}
+	done := make(chan TrainReport, 1)
+	go func() { done <- TrainLoop(NewLSTMPredictor(4, 10, opts), train, val, opts) }()
+	select {
+	case rep := <-done:
+		if rep.Epochs == 0 {
+			t.Fatal("no epochs ran")
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("TrainLoop with Batch 0 did not return")
 	}
 }
 

@@ -1,29 +1,23 @@
 package predictors
 
 import (
-	"math"
-	"time"
-
-	"prism5g/internal/nn"
-	"prism5g/internal/obs"
 	"prism5g/internal/rng"
 	"prism5g/internal/trace"
 )
 
 // shuffleChunks sets the shuffle-buffer size in units of minibatches: the
-// streaming loop holds at most Batch*shuffleChunks windows at once,
+// streaming source holds at most Batch*shuffleChunks windows at once,
 // shuffles within that buffer, and trains from it. A larger buffer
 // approaches the full-shuffle trajectory of TrainLoop at the cost of
 // memory; eight batches is enough to decorrelate the trace-ordered window
 // stream a population build produces.
 const shuffleChunks = 8
 
-// TrainLoopStream is TrainLoop for window streams: the same mini-batch
-// Adam loop, early stopping and bounded divergence recovery, but the
-// training and validation sets are consumed through trace.WindowStream in
-// bounded chunks, so peak memory is Batch*shuffleChunks windows no matter
-// how many windows the streams yield. Minibatches go through the
-// BatchSeqModel path when the model provides one.
+// TrainLoopStream is TrainLoop for window streams: the same training loop,
+// but the training and validation sets are consumed through
+// trace.WindowStream in bounded chunks, so peak memory is
+// Batch*shuffleChunks windows no matter how many windows the streams
+// yield.
 //
 // Shuffling is local: each epoch re-reads the stream in order and
 // shuffles within the bounded buffer, so the training trajectory differs
@@ -32,232 +26,67 @@ const shuffleChunks = 8
 // per evaluation for val); a stream error aborts training and is
 // returned alongside the best-so-far report.
 func TrainLoopStream(m SeqModel, train, val trace.WindowStream, opts TrainOpts) (TrainReport, error) {
-	if opts.Epochs == 0 {
-		opts = DefaultTrainOpts()
-	}
-	if opts.MaxRetries == 0 {
-		opts.MaxRetries = 2
-	}
-	if opts.LRBackoff <= 0 || opts.LRBackoff >= 1 {
-		opts.LRBackoff = 0.5
-	}
-	if opts.DivergeFactor <= 1 {
-		opts.DivergeFactor = 50
-	}
-	if opts.Batch <= 0 {
-		opts.Batch = 128
-	}
-	start := time.Now()
-	sp := obs.StartSpan("train.loop_stream")
-	src := rng.New(opts.Seed ^ 0xfeed)
-	initW := snapshot(m.Params())
-	bestVal := math.Inf(1)
-	var bestW [][]float64
-	epochs := 0
-	retries := 0
-	diverged := false
-	bm, batched := m.(BatchSeqModel)
+	return trainLoop(m, &streamSource{ws: train}, &streamSource{ws: val}, opts)
+}
 
-	evalStream := func(ws trace.WindowStream) (float64, error) {
-		if err := ws.Reset(); err != nil {
-			return math.NaN(), err
-		}
-		var se float64
-		n := 0
-		for {
-			chunk, err := ws.Next(opts.Batch)
-			if err != nil {
-				return math.NaN(), err
-			}
-			if len(chunk) == 0 {
-				break
-			}
-			chunk, _ = FilterValid(chunk)
-			if len(chunk) == 0 {
-				continue
-			}
-			if batched {
-				for k, y := range bm.ForwardBackwardBatch(chunk, 0) {
-					for i := range y {
-						d := y[i] - chunk[k].Y[i]
-						se += d * d
-						n++
-					}
-				}
-			} else {
-				for _, w := range chunk {
-					y := m.ForwardBackward(w, 0)
-					for i := range y {
-						d := y[i] - w.Y[i]
-						se += d * d
-						n++
-					}
-				}
-			}
-		}
-		if n == 0 {
-			return math.NaN(), nil
-		}
-		return math.Sqrt(se / float64(n)), nil
-	}
+// streamSource is the batchSource behind TrainLoopStream. Every pass
+// Resets the stream; an epoch fills a Batch*shuffleChunks buffer with the
+// valid windows, shuffles it, trains from it and refills until the stream
+// ends, while scoring filters each Batch-sized chunk as it arrives.
+type streamSource struct {
+	ws  trace.WindowStream
+	buf []trace.Window
+}
 
-	bufCap := opts.Batch * shuffleChunks
-	buf := make([]trace.Window, 0, bufCap)
-	var streamErr error
-	lr := opts.LR
-	var epochStats []EpochStat
-	var trainSeen int // windows trained in the latest epoch
-attempts:
-	for attempt := 0; ; attempt++ {
-		opt := nn.NewAdam(m.Params(), lr)
-		badEpochs := 0
-		diverged = false
-		for ep := 0; ep < opts.Epochs; ep++ {
-			epochs++
-			epStart := time.Now()
-			if err := train.Reset(); err != nil {
-				streamErr = err
-				break attempts
-			}
-			var trainSE float64
-			trainN := 0
-			trainSeen = 0
-			gradN := math.NaN()
-			buf = buf[:0]
-			eof := false
-			for !eof || len(buf) > 0 {
-				// Fill the shuffle buffer from the stream.
-				for !eof && len(buf) < bufCap {
-					chunk, err := train.Next(bufCap - len(buf))
-					if err != nil {
-						streamErr = err
-						break attempts
-					}
-					if len(chunk) == 0 {
-						eof = true
-						break
-					}
-					for _, w := range chunk {
-						if ValidWindow(w) {
-							buf = append(buf, w)
-						}
-					}
-				}
-				if len(buf) == 0 {
-					break
-				}
-				src.Shuffle(len(buf), func(i, j int) { buf[i], buf[j] = buf[j], buf[i] })
-				for bi := 0; bi < len(buf); bi += opts.Batch {
-					end := bi + opts.Batch
-					if end > len(buf) {
-						end = len(buf)
-					}
-					b := buf[bi:end]
-					scale := 1.0 / float64(len(b))
-					if batched {
-						for k, y := range bm.ForwardBackwardBatch(b, scale) {
-							for i := range y {
-								d := y[i] - b[k].Y[i]
-								trainSE += d * d
-								trainN++
-							}
-						}
-					} else {
-						for _, w := range b {
-							y := m.ForwardBackward(w, scale)
-							for i := range y {
-								d := y[i] - w.Y[i]
-								trainSE += d * d
-								trainN++
-							}
-						}
-					}
-					// Unlike TrainLoop, the last batch is not known until
-					// EOF, so read the norm before every Step and keep the
-					// latest — O(params), cheap next to the batch itself.
-					gradN = gradNorm(m.Params())
-					opt.Step()
-				}
-				trainSeen += len(buf)
-				buf = buf[:0]
-			}
-			v, err := evalStream(val)
+func (s *streamSource) epoch(r *rng.Source, batch int, yield func([]trace.Window)) (int, error) {
+	if err := s.ws.Reset(); err != nil {
+		return 0, err
+	}
+	bufCap := batch * shuffleChunks
+	if cap(s.buf) < bufCap {
+		s.buf = make([]trace.Window, 0, bufCap)
+	}
+	seen := 0
+	for eof := false; !eof; {
+		buf := s.buf[:0]
+		for !eof && len(buf) < bufCap {
+			chunk, err := s.ws.Next(bufCap - len(buf))
 			if err != nil {
-				streamErr = err
-				break attempts
+				return seen, err
 			}
-			if math.IsNaN(v) && trainSeen > 0 {
-				if v, err = evalStream(train); err != nil {
-					streamErr = err
-					break attempts
-				}
-			}
-			epTrain := math.NaN()
-			if trainN > 0 {
-				epTrain = math.Sqrt(trainSE / float64(trainN))
-			}
-			es := EpochStat{Epoch: epochs, TrainRMSE: epTrain, ValRMSE: v,
-				LR: lr, GradNorm: gradN, Duration: time.Since(epStart)}
-			epochStats = append(epochStats, es)
-			if r := obs.Default(); r.Enabled() {
-				r.Add("train.epochs", 1)
-				r.Observe("train.epoch_s", es.Duration.Seconds())
-				r.Emit("train.epoch", map[string]any{
-					"epoch": es.Epoch, "train_rmse": es.TrainRMSE, "val_rmse": es.ValRMSE,
-					"lr": es.LR, "grad_norm": es.GradNorm, "dur_s": es.Duration.Seconds(),
-					"streamed": true,
-				})
-			}
-			if trainSeen > 0 && (!finite(v) || (finite(bestVal) && v > opts.DivergeFactor*bestVal)) {
-				diverged = true
-				break
-			}
-			if v < bestVal-1e-6 {
-				bestVal = v
-				bestW = snapshotInto(bestW, m.Params())
-				badEpochs = 0
-			} else {
-				badEpochs++
-				if badEpochs >= opts.Patience {
-					break
+			eof = len(chunk) == 0
+			for _, w := range chunk {
+				if ValidWindow(w) {
+					buf = append(buf, w)
 				}
 			}
 		}
-		if !diverged || retries >= opts.MaxRetries || opts.MaxRetries < 0 {
+		if len(buf) == 0 {
 			break
 		}
-		retries++
-		if bestW != nil {
-			restore(m.Params(), bestW)
-		} else {
-			restore(m.Params(), initW)
+		r.Shuffle(len(buf), func(i, j int) { buf[i], buf[j] = buf[j], buf[i] })
+		for bi := 0; bi < len(buf); bi += batch {
+			yield(buf[bi:min(bi+batch, len(buf))])
 		}
-		lr *= opts.LRBackoff
-		if r := obs.Default(); r.Enabled() {
-			r.Add("train.rollbacks", 1)
-			r.Emit("train.rollback", map[string]any{
-				"attempt": attempt + 1, "next_lr": lr, "best_val": bestVal,
-			})
+		seen += len(buf)
+	}
+	return seen, nil
+}
+
+func (s *streamSource) score(batch int, yield func([]trace.Window)) error {
+	if err := s.ws.Reset(); err != nil {
+		return err
+	}
+	for {
+		chunk, err := s.ws.Next(batch)
+		if err != nil {
+			return err
+		}
+		if len(chunk) == 0 {
+			return nil
+		}
+		if chunk, _ = FilterValid(chunk); len(chunk) > 0 {
+			yield(chunk)
 		}
 	}
-	if bestW != nil {
-		restore(m.Params(), bestW)
-	} else if diverged || streamErr != nil {
-		restore(m.Params(), initW)
-	}
-	trainRMSE := math.NaN()
-	if streamErr == nil {
-		trainRMSE, streamErr = evalStream(train)
-	}
-	sp.EndWith(map[string]any{"epochs": epochs, "retries": retries,
-		"diverged": diverged, "stream_err": streamErr != nil})
-	return TrainReport{
-		Epochs:     epochs,
-		TrainRMSE:  trainRMSE,
-		ValRMSE:    bestVal,
-		Duration:   time.Since(start),
-		EpochStats: epochStats,
-		Retries:    retries,
-		Diverged:   diverged,
-	}, streamErr
 }
