@@ -15,12 +15,14 @@ test-race:
 	$(GO) test -race ./...
 
 # Short fuzz passes over the externally reachable inputs (trace ingest,
-# grid configs, serve request bodies); CI-sized. CI runs this target.
+# grid configs, serve request bodies, journals); CI-sized. CI runs this
+# target.
 fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzReadJSON -fuzztime=20s ./internal/trace/
 	$(GO) test -run=^$$ -fuzz=FuzzReadCSV -fuzztime=20s ./internal/trace/
 	$(GO) test -run=^$$ -fuzz=FuzzGridConfig -fuzztime=20s ./internal/grid/
 	$(GO) test -run=^$$ -fuzz=FuzzDecodeRequest -fuzztime=20s ./internal/serve/
+	$(GO) test -run=^$$ -fuzz=FuzzReadEvents -fuzztime=20s ./internal/obs/
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ ./...

@@ -29,6 +29,7 @@ package main
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -81,14 +82,22 @@ func fail(format string, args ...any) int {
 	return 1
 }
 
-// readJournal parses a whole journal file into events.
+// readJournal parses a whole journal file into events. A final line cut
+// mid-write (a crashed or killed producer) is dropped with a warning on
+// stderr, so the complete events before it are still inspected.
 func readJournal(path string) ([]obs.Event, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	return obs.ReadEvents(f)
+	events, err := obs.ReadEvents(f)
+	var tail *obs.TruncatedTailError
+	if errors.As(err, &tail) {
+		fmt.Fprintf(os.Stderr, "prismobs: warning: %s: %v\n", path, err)
+		return events, nil
+	}
+	return events, err
 }
 
 // ms renders seconds as a compact millisecond figure.

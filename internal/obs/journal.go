@@ -2,7 +2,9 @@ package obs
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"sync"
 	"time"
@@ -156,34 +158,78 @@ func (r *Registry) Emit(event string, fields map[string]any) {
 	r.journal.Load().Write(event, fields)
 }
 
+// TruncatedTailError reports a journal whose final line was cut mid-write:
+// it has no trailing newline and does not parse, as a crash or a kill
+// before the buffer flush leaves it. ReadEvents drops the fragment and
+// returns this error together with every complete event before it, so a
+// caller that only wants those can warn and go on.
+type TruncatedTailError struct {
+	Line  int // 1-based line number of the dropped fragment
+	Bytes int // length of the dropped fragment
+}
+
+func (e *TruncatedTailError) Error() string {
+	return fmt.Sprintf("journal line %d truncated mid-write (%d bytes dropped)", e.Line, e.Bytes)
+}
+
+// LineError is a complete journal line that does not parse. ReadEvents
+// stops there and returns it together with the events before it.
+type LineError struct {
+	Line int // 1-based line number
+	Err  error
+}
+
+func (e *LineError) Error() string { return fmt.Sprintf("journal line %d: %v", e.Line, e.Err) }
+
+func (e *LineError) Unwrap() error { return e.Err }
+
 // ReadEvents parses a JSON-lines journal back into events — the round-trip
 // half used by tests and analysis tooling. Unknown top-level keys become
-// Fields entries; malformed lines abort with the error.
+// Fields entries and blank lines are skipped. It always returns the events
+// of the valid line prefix; reading stops at the first line that does not
+// parse, with a *LineError, or a *TruncatedTailError when that line is an
+// unterminated final one.
 func ReadEvents(rd io.Reader) ([]Event, error) {
 	var out []Event
-	dec := json.NewDecoder(rd)
-	for dec.More() {
-		var raw map[string]any
-		if err := dec.Decode(&raw); err != nil {
-			return out, err
+	br := bufio.NewReader(rd)
+	for lineNo := 1; ; lineNo++ {
+		line, rerr := br.ReadBytes('\n')
+		if rerr != nil && rerr != io.EOF {
+			return out, fmt.Errorf("read journal line %d: %w", lineNo, rerr)
 		}
-		var ev Event
-		if s, ok := raw["ts"].(string); ok {
-			if t, err := time.Parse(time.RFC3339Nano, s); err == nil {
-				ev.TS = t
+		if trimmed := bytes.TrimSpace(line); len(trimmed) > 0 {
+			var raw map[string]any
+			if err := json.Unmarshal(trimmed, &raw); err != nil {
+				if rerr == io.EOF {
+					return out, &TruncatedTailError{Line: lineNo, Bytes: len(line)}
+				}
+				return out, &LineError{Line: lineNo, Err: err}
 			}
+			out = append(out, eventFromWire(raw))
 		}
-		ev.Name, _ = raw["ev"].(string)
-		for k, v := range raw {
-			if k == "ts" || k == "ev" {
-				continue
-			}
-			if ev.Fields == nil {
-				ev.Fields = map[string]any{}
-			}
-			ev.Fields[k] = v
+		if rerr == io.EOF {
+			return out, nil
 		}
-		out = append(out, ev)
 	}
-	return out, nil
+}
+
+// eventFromWire splits a decoded line into the reserved keys and Fields.
+func eventFromWire(raw map[string]any) Event {
+	var ev Event
+	if s, ok := raw["ts"].(string); ok {
+		if t, err := time.Parse(time.RFC3339Nano, s); err == nil {
+			ev.TS = t
+		}
+	}
+	ev.Name, _ = raw["ev"].(string)
+	for k, v := range raw {
+		if k == "ts" || k == "ev" {
+			continue
+		}
+		if ev.Fields == nil {
+			ev.Fields = map[string]any{}
+		}
+		ev.Fields[k] = v
+	}
+	return ev
 }

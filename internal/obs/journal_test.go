@@ -3,10 +3,12 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 // TestJournalMaxBytesStickyStop drives the byte budget: once the next
@@ -111,5 +113,79 @@ func TestJournalReservedKeys(t *testing.T) {
 	}
 	if evs[0].Fields["k"].(float64) != 1 {
 		t.Fatalf("fields lost: %v", evs[0].Fields)
+	}
+}
+
+// traceJournal writes n request traces with the field set prismserve
+// journals per request, at a fixed clock, and returns the journal bytes.
+func traceJournal(n int) []byte {
+	var buf bytes.Buffer
+	j := NewJournal(&buf)
+	t0 := time.Date(2026, 8, 6, 12, 0, 0, 0, time.UTC)
+	j.now = func() time.Time { return t0 }
+	for i := 0; i < n; i++ {
+		j.Write("trace", map[string]any{
+			"trace": fmt.Sprintf("%016x", i+1), "session": fmt.Sprintf("ue-%d", i%3),
+			"outcome": "ok", "reason": "", "total_s": 0.002 + 1e-4*float64(i),
+			"decode_s": 1e-4, "queue_s": 5e-4, "breaker_s": 0, "infer_s": 1e-3, "encode_s": 1e-4,
+		})
+	}
+	j.Flush()
+	return buf.Bytes()
+}
+
+// TestReadEventsDamagedJournals: ReadEvents returns every event of the
+// valid line prefix, drops an unterminated unparseable final line with a
+// *TruncatedTailError, and stops at a malformed complete line with a
+// *LineError carrying its number.
+func TestReadEventsDamagedJournals(t *testing.T) {
+	good := string(traceJournal(3))
+	first := good[:strings.IndexByte(good, '\n')+1]
+	sentinel := `{"budget_bytes":600,"ev":"journal.truncated","ts":"2026-08-06T12:00:00Z","written_bytes":590}` + "\n"
+	cases := []struct {
+		name      string
+		in        string
+		events    int
+		truncLine int // line of the *TruncatedTailError, 0 for none
+		badLine   int // line of the *LineError, 0 for none
+		last      string
+	}{
+		{name: "truncated tail", in: good + first[:len(first)/2], events: 3, truncLine: 4},
+		{name: "empty file", in: "", events: 0},
+		{name: "blank lines", in: "\n" + good + "\n  \n", events: 3},
+		{name: "interior garbage", in: first + "not json\n" + good, events: 1, badLine: 2},
+		{name: "malformed terminated last line", in: good + "{\"ev\":\n", events: 3, badLine: 4},
+		{name: "unterminated complete last line", in: strings.TrimSuffix(good, "\n"), events: 3},
+		{name: "journal.truncated sentinel last", in: good + sentinel, events: 4, last: "journal.truncated"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			evs, err := ReadEvents(strings.NewReader(c.in))
+			if len(evs) != c.events {
+				t.Fatalf("%d events, want %d (err %v)", len(evs), c.events, err)
+			}
+			var tail *TruncatedTailError
+			var bad *LineError
+			switch {
+			case c.truncLine > 0:
+				if !errors.As(err, &tail) || tail.Line != c.truncLine {
+					t.Fatalf("err = %v, want truncated tail at line %d", err, c.truncLine)
+				}
+			case c.badLine > 0:
+				if !errors.As(err, &bad) || bad.Line != c.badLine {
+					t.Fatalf("err = %v, want malformed line %d", err, c.badLine)
+				}
+			case err != nil:
+				t.Fatalf("err = %v, want nil", err)
+			}
+			for _, ev := range evs[:min(len(evs), 3)] {
+				if ev.Name != "trace" || ev.Fields["outcome"] != "ok" {
+					t.Fatalf("event mangled: %+v", ev)
+				}
+			}
+			if c.last != "" && evs[len(evs)-1].Name != c.last {
+				t.Fatalf("last event %q, want %q", evs[len(evs)-1].Name, c.last)
+			}
+		})
 	}
 }
