@@ -101,7 +101,7 @@ func TestPrismGradients(t *testing.T) {
 	p := New(smallOpts(), 10)
 	w := synthWindow(2)
 	loss := func() float64 {
-		y := p.forward(w, 0, nil)
+		y := p.Predict(w)
 		l := nn.MSE(y, w.Y)
 		if p.Opts.PerCCLossWeight > 0 {
 			per := p.PredictPerCC(w)
@@ -114,7 +114,8 @@ func TestPrismGradients(t *testing.T) {
 		return l
 	}
 	nn.ZeroGrads(p)
-	p.forward(w, 1, nil)
+	_, tape := p.Forward(w, true)
+	tape.Backward(1)
 	const eps = 1e-5
 	for _, prm := range p.Params() {
 		stride := prm.Size() / 12
@@ -276,13 +277,14 @@ func TestPrismGRUBackbone(t *testing.T) {
 	}
 	// The GRU variant must also pass the full-model gradient check.
 	loss := func() float64 {
-		yv := p.forward(w, 0, nil)
+		yv := p.Predict(w)
 		return nn.MSE(yv, w.Y)
 	}
 	save := p.Opts.PerCCLossWeight
 	p.Opts.PerCCLossWeight = 0
 	nn.ZeroGrads(p)
-	p.forward(w, 1, nil)
+	_, tape := p.Forward(w, true)
+	tape.Backward(1)
 	const eps = 1e-5
 	for _, prm := range p.Params() {
 		stride := prm.Size() / 8

@@ -126,101 +126,6 @@ func TestGemmMatchesScalarGEMV(t *testing.T) {
 	}
 }
 
-func TestDenseBatchMatchesPerSample(t *testing.T) {
-	src := rng.New(11)
-	const n, in, out = 7, 5, 3
-	a := NewDense("a", in, out, src)
-	b := NewDense("b", in, out, rng.New(11))
-	X := make([]float64, n*in)
-	GY := make([]float64, n*out)
-	for i := range X {
-		X[i] = src.Float64() - 0.5
-	}
-	for i := range GY {
-		GY[i] = src.Float64() - 0.5
-	}
-	GY[2] = 0 // exercise the zero-gradient skip on both paths
-
-	// Per-sample reference on a.
-	wantY := make([]float64, n*out)
-	wantGX := make([]float64, n*in)
-	for s := 0; s < n; s++ {
-		copy(wantY[s*out:], a.Forward(X[s*in:(s+1)*in]))
-		copy(wantGX[s*in:], a.Backward(X[s*in:(s+1)*in], GY[s*out:(s+1)*out]))
-	}
-	// Batched on b (identical init).
-	gotY := make([]float64, n*out)
-	gotGX := make([]float64, n*in)
-	b.ForwardBatch(gotY, X, n)
-	b.BackwardBatch(gotGX, X, GY, n)
-	for i := range wantY {
-		if gotY[i] != wantY[i] {
-			t.Fatalf("batched forward diverged at %d", i)
-		}
-	}
-	for i := range wantGX {
-		if gotGX[i] != wantGX[i] {
-			t.Fatalf("batched input grad diverged at %d", i)
-		}
-	}
-	for i := range a.W.Grad {
-		if a.W.Grad[i] != b.W.Grad[i] {
-			t.Fatalf("batched W grad diverged at %d: %v vs %v", i, b.W.Grad[i], a.W.Grad[i])
-		}
-	}
-	for i := range a.B.Grad {
-		if a.B.Grad[i] != b.B.Grad[i] {
-			t.Fatalf("batched bias grad diverged at %d", i)
-		}
-	}
-}
-
-func TestLSTMBatchMatchesPerSample(t *testing.T) {
-	src := rng.New(3)
-	const bsz, T, in, hid = 4, 6, 5, 8
-	a := NewLSTM("a", in, hid, src)
-	b := NewLSTM("b", in, hid, rng.New(3))
-	// Step-major batch input and the equivalent per-sample sequences.
-	X := make([]float64, T*bsz*in)
-	for i := range X {
-		X[i] = src.Float64() - 0.5
-	}
-	ghLast := make([]float64, bsz*hid)
-	for i := range ghLast {
-		ghLast[i] = src.Float64() - 0.5
-	}
-
-	wantLast := make([]float64, bsz*hid)
-	for s := 0; s < bsz; s++ {
-		seq := make([][]float64, T)
-		for ti := 0; ti < T; ti++ {
-			seq[ti] = X[(ti*bsz+s)*in : (ti*bsz+s+1)*in]
-		}
-		hs, tape := a.Forward(seq)
-		copy(wantLast[s*hid:], hs[T-1])
-		gh := make([][]float64, T)
-		gh[T-1] = ghLast[s*hid : (s+1)*hid]
-		a.Backward(tape, gh)
-	}
-
-	var bt LSTMBatchTape
-	gotLast := b.ForwardBatch(&bt, X, bsz, T)
-	for i := range wantLast {
-		if gotLast[i] != wantLast[i] {
-			t.Fatalf("batched forward diverged at %d: %v vs %v", i, gotLast[i], wantLast[i])
-		}
-	}
-	b.BackwardBatch(&bt, ghLast)
-	for pi, pa := range a.Params() {
-		pb := b.Params()[pi]
-		for i := range pa.Grad {
-			if pa.Grad[i] != pb.Grad[i] {
-				t.Fatalf("batched %s grad diverged at %d: %v vs %v", pa.Name, i, pb.Grad[i], pa.Grad[i])
-			}
-		}
-	}
-}
-
 func TestTapeReuseIsDeterministic(t *testing.T) {
 	// Running a second forward/backward through the same reused tapes must
 	// produce bit-identical outputs and gradients to fresh tapes.

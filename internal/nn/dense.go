@@ -37,12 +37,6 @@ func (d *Dense) ForwardInto(y, x []float64) []float64 {
 	return y
 }
 
-// ForwardBatch computes Y = X Wᵀ + b for n stacked inputs (X is n*In,
-// Y is n*Out, both flat row-major) with the blocked batched kernel.
-func (d *Dense) ForwardBatch(Y, X []float64, n int) {
-	MatMulNT(Y, X, n, d.W.W, d.Out, d.In, d.B.W)
-}
-
 // Backward accumulates dL/dW and dL/db given the input x used in Forward and
 // the output gradient gy, and returns dL/dx.
 func (d *Dense) Backward(x, gy []float64) []float64 {
@@ -69,17 +63,6 @@ func (d *Dense) BackwardInto(gx, x, gy []float64) []float64 {
 		}
 	}
 	return gx
-}
-
-// BackwardBatch accumulates parameter gradients for a whole minibatch (X
-// is the n*In forward input, GY the n*Out output gradient) and writes the
-// input gradients into GX (n*In, zeroed first). Per gradient element the
-// samples accumulate in ascending batch order — exactly the order n
-// successive Backward calls would have used.
-func (d *Dense) BackwardBatch(GX, X, GY []float64, n int) {
-	clear(GX)
-	AccumGradNT(d.W.Grad, d.B.Grad, GY, n, d.Out, X, d.In)
-	AccumInputGradNT(GX, GY, n, d.Out, d.W.W, d.In)
 }
 
 // MLP is a stack of dense layers with ReLU between them (none after the

@@ -1,18 +1,18 @@
 package nn
 
-// Batched matrix kernels for the minibatch hot paths. Everything operates
-// on flat row-major buffers: X is n rows of k features, W is m rows of k
-// weights (the layout every layer here already uses), Y is n rows of m
-// outputs.
+// Matrix kernels for the layers' hot paths: the LSTM gate
+// preactivations, dense layers and the TCN's per-tap convolutions (one row
+// of X per time step). Everything operates on flat row-major buffers: X is
+// n rows of k features, W is m rows of k weights (the layout every layer
+// here already uses), Y is n rows of m outputs.
 //
 // The kernels are blocked for cache reuse — a tile of W rows is streamed
-// against every sample before the next tile is touched — but each output
-// element's floating-point accumulation chain is kept bit-identical to the
-// per-sample GEMV the layers used before batching: the reduction loop (j
-// over k, or i over samples for gradients) always runs sequentially in
-// ascending order onto a single accumulator. Batching therefore changes
-// wall-clock and allocation behaviour, never values: the conformance
-// goldens (internal/conform) stay byte-identical.
+// against every row of X before the next tile is touched — but each output
+// element's floating-point accumulation chain is kept bit-identical to a
+// scalar GEMV: the reduction loop over k always runs sequentially in
+// ascending order onto a single accumulator. Blocking therefore changes
+// wall-clock, never values: the conformance goldens (internal/conform)
+// stay byte-identical.
 
 // rowTile is the number of W rows processed per block. Four keeps the
 // accumulators in registers while each sample row is read once per tile.
@@ -69,49 +69,6 @@ func gemmNT(Y, X []float64, n int, W []float64, m, k int, bias []float64, acc bo
 				s += row[j] * xv
 			}
 			Y[i*m+o] = s
-		}
-	}
-}
-
-// AccumGradNT accumulates a batch's parameter gradients: for every output
-// o, dB[o] += Σ_i GY[i*m+o] and dW[o*k+j] += Σ_i GY[i*m+o]*X[i*k+j], with
-// the sample loop i ascending — the exact order the per-sample backward
-// accumulated them — and zero output-gradients skipped the same way the
-// per-sample path skips them. dB may be nil.
-func AccumGradNT(dW, dB, GY []float64, n, m int, X []float64, k int) {
-	for i := 0; i < n; i++ {
-		x := X[i*k : (i+1)*k]
-		gy := GY[i*m : (i+1)*m]
-		for o, g := range gy {
-			if g == 0 {
-				continue
-			}
-			if dB != nil {
-				dB[o] += g
-			}
-			grow := dW[o*k : (o+1)*k]
-			for j, xv := range x {
-				grow[j] += g * xv
-			}
-		}
-	}
-}
-
-// AccumInputGradNT accumulates input gradients GX += GY * W: GX[i*k+j] +=
-// Σ_o GY[i*m+o]*W[o*k+j], with the o loop ascending and zero gradients
-// skipped, mirroring the per-sample backward's accumulation chain.
-func AccumInputGradNT(GX, GY []float64, n, m int, W []float64, k int) {
-	for i := 0; i < n; i++ {
-		gx := GX[i*k : (i+1)*k]
-		gy := GY[i*m : (i+1)*m]
-		for o, g := range gy {
-			if g == 0 {
-				continue
-			}
-			row := W[o*k : (o+1)*k]
-			for j, wv := range row {
-				gx[j] += g * wv
-			}
 		}
 	}
 }

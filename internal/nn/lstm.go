@@ -70,6 +70,9 @@ func (l *LSTM) ForwardTape(t *LSTMTape, seq [][]float64, h0, c0 []float64) [][]f
 	H := l.Hidden
 	T := len(seq)
 	t.ar.Reset()
+	// Forward: zero initial states, eight spines and seven T x H
+	// matrices, the gate preactivations; backward: nine H vectors.
+	t.ar.Reserve((7*T+15)*H, 8*T)
 	if h0 == nil {
 		h0 = t.ar.Floats(H)
 	}
@@ -111,23 +114,22 @@ func (l *LSTM) ForwardTape(t *LSTMTape, seq [][]float64, h0, c0 []float64) [][]f
 
 // Backward runs BPTT. gh is the gradient of the loss with respect to each
 // hidden state (len T; entries may be nil meaning zero). It accumulates
-// parameter gradients and returns gradients with respect to the inputs
-// plus the gradients with respect to the initial hidden and cell states.
-// Returned slices are views into the tape's scratch, valid until its next
-// use.
-func (l *LSTM) Backward(tape *LSTMTape, gh [][]float64) (gxs [][]float64, dh0, dc0 []float64) {
+// parameter gradients and returns the gradients with respect to the
+// initial hidden and cell states; no caller reads gradients with respect
+// to the inputs, so they are not computed. Returned slices are views into
+// the tape's scratch, valid until its next use.
+func (l *LSTM) Backward(tape *LSTMTape, gh [][]float64) (dh0, dc0 []float64) {
 	return l.BackwardWithCellGrad(tape, gh, nil)
 }
 
 // BackwardWithCellGrad is Backward with an additional gradient dcT flowing
 // into the final cell state (used when a decoder was initialized from this
 // LSTM's terminal state).
-func (l *LSTM) BackwardWithCellGrad(tape *LSTMTape, gh [][]float64, dcT []float64) (gxs [][]float64, dh0, dc0 []float64) {
+func (l *LSTM) BackwardWithCellGrad(tape *LSTMTape, gh [][]float64, dcT []float64) (dh0, dc0 []float64) {
 	H, In := l.Hidden, l.In
 	T := tape.T()
 	ar := &tape.ar
 	ar.Rewind(tape.mark)
-	gxs = ar.Rows(T)
 	dhNext := ar.Floats(H)
 	dcNext := ar.Floats(H)
 	if dcT != nil {
@@ -167,8 +169,7 @@ func (l *LSTM) BackwardWithCellGrad(tape *LSTMTape, gh [][]float64, dcT []float6
 			dzg[h] = dg * (1 - gv[h]*gv[h])
 			dzo[h] = do * ov[h] * (1 - ov[h])
 		}
-		// Parameter grads and input/hidden grads.
-		gx := ar.Floats(In)
+		// Parameter grads and the hidden-state grad.
 		clear(dhPrev)
 		x := tape.xs[t]
 		for h := 0; h < H; h++ {
@@ -179,11 +180,9 @@ func (l *LSTM) BackwardWithCellGrad(tape *LSTMTape, gh [][]float64, dcT []float6
 				}
 				row := (gate*H + h)
 				l.B.Grad[row] += z
-				wrow := l.Wx.W[row*In : (row+1)*In]
 				grow := l.Wx.Grad[row*In : (row+1)*In]
 				for k, xv := range x {
 					grow[k] += z * xv
-					gx[k] += z * wrow[k]
 				}
 				hwrow := l.Wh.W[row*H : (row+1)*H]
 				hgrow := l.Wh.Grad[row*H : (row+1)*H]
@@ -193,13 +192,12 @@ func (l *LSTM) BackwardWithCellGrad(tape *LSTMTape, gh [][]float64, dcT []float6
 				}
 			}
 		}
-		gxs[t] = gx
 		copy(dhNext, dhPrev)
 		for h := 0; h < H; h++ {
 			dcNext[h] = dc[h] * fv[h]
 		}
 	}
-	return gxs, dhNext, dcNext
+	return dhNext, dcNext
 }
 
 // LastHidden returns the final hidden and cell state of the tape (zeros for

@@ -171,34 +171,6 @@ func TestLSTMAllStepGradients(t *testing.T) {
 	checkGrads(t, l, forward, backward)
 }
 
-func TestLSTMInputGradients(t *testing.T) {
-	src := rng.New(6)
-	l := NewLSTM("lstm", 2, 3, src)
-	seq := seqInput(src, 4, 2)
-	target := []float64{0.5, 0.5, 0.5}
-	hs, tape := l.Forward(seq)
-	gh := make([][]float64, len(hs))
-	gh[len(hs)-1] = MSEGrad(hs[len(hs)-1], target)
-	gxs, _, _ := l.Backward(tape, gh)
-	const eps = 1e-5
-	for ti := range seq {
-		for fi := range seq[ti] {
-			orig := seq[ti][fi]
-			seq[ti][fi] = orig + eps
-			hsUp, _ := l.Forward(seq)
-			up := MSE(hsUp[len(hsUp)-1], target)
-			seq[ti][fi] = orig - eps
-			hsDown, _ := l.Forward(seq)
-			down := MSE(hsDown[len(hsDown)-1], target)
-			seq[ti][fi] = orig
-			want := (up - down) / (2 * eps)
-			if math.Abs(gxs[ti][fi]-want) > 1e-5 {
-				t.Fatalf("gx[%d][%d] = %f, want %f", ti, fi, gxs[ti][fi], want)
-			}
-		}
-	}
-}
-
 func TestLSTMForwardFromState(t *testing.T) {
 	src := rng.New(7)
 	l := NewLSTM("lstm", 2, 3, src)

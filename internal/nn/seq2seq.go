@@ -124,7 +124,7 @@ func (s *Seq2Seq) Backward(tape *Seq2SeqTape, gPred []float64) {
 		gy[0] = gPred[k]
 		gh[k] = s.Head.BackwardInto(ar.Floats(s.Head.In), h, gy)
 	}
-	_, dh0, dc0 := s.Dec.Backward(&tape.decTape, gh)
+	dh0, dc0 := s.Dec.Backward(&tape.decTape, gh)
 	// Push the state gradients into the encoder's last step.
 	encGh := ar.Rows(tape.encTape.T())
 	if tape.encTape.T() > 0 {

@@ -79,7 +79,7 @@ type brittleModel struct {
 
 func (m *brittleModel) Params() []*nn.Param { return []*nn.Param{m.p} }
 
-func (m *brittleModel) ForwardBackward(w trace.Window, gScale float64) []float64 {
+func (m *brittleModel) Forward(w trace.Window, train bool) ([]float64, Tape) {
 	out := make([]float64, len(w.Y))
 	v := m.p.W[0]
 	if math.Abs(v-0.5) > 1e-9 {
@@ -88,10 +88,16 @@ func (m *brittleModel) ForwardBackward(w trace.Window, gScale float64) []float64
 	for i := range out {
 		out[i] = v
 	}
+	return out, brittleTape{m.p}
+}
+
+// brittleTape pushes every window's gradient the same way.
+type brittleTape struct{ p *nn.Param }
+
+func (t brittleTape) Backward(gScale float64) {
 	if gScale > 0 {
-		m.p.Grad[0] += gScale
+		t.p.Grad[0] += gScale
 	}
-	return out
 }
 
 func TestTrainLoopRollsBackOnDivergence(t *testing.T) {
