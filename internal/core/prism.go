@@ -71,63 +71,8 @@ func DefaultOptions() Options {
 	}
 }
 
-// rnnScratch holds one carrier slot's reusable backbone tape. Weight
-// sharing shares parameters, never tapes: every carrier records its own
-// forward pass.
-type rnnScratch struct {
-	lstm nn.LSTMTape
-	gru  nn.GRUTape
-	gh   [][]float64 // hidden-grad spine for backward
-}
-
-func (s *rnnScratch) ghSpine(T int) [][]float64 {
-	if cap(s.gh) < T {
-		s.gh = make([][]float64, T)
-	}
-	gh := s.gh[:T]
-	for i := range gh {
-		gh[i] = nil
-	}
-	return gh
-}
-
-// rnn abstracts the per-CC recurrent backbone so LSTM and GRU are
-// interchangeable: forward records one carrier's pass into its scratch
-// and returns the final hidden state; backward consumes dL/dh_last.
-type rnn interface {
-	Params() []*nn.Param
-	forward(s *rnnScratch, seq [][]float64) (last []float64)
-	backward(s *rnnScratch, gLast []float64)
-}
-
-type lstmBackbone struct{ m *nn.LSTM }
-
-func (b lstmBackbone) Params() []*nn.Param { return b.m.Params() }
-func (b lstmBackbone) forward(s *rnnScratch, seq [][]float64) []float64 {
-	hs := b.m.ForwardTape(&s.lstm, seq, nil, nil)
-	return hs[len(hs)-1]
-}
-func (b lstmBackbone) backward(s *rnnScratch, g []float64) {
-	gh := s.ghSpine(s.lstm.T())
-	gh[len(gh)-1] = g
-	b.m.Backward(&s.lstm, gh)
-}
-
-type gruBackbone struct{ m *nn.GRU }
-
-func (b gruBackbone) Params() []*nn.Param { return b.m.Params() }
-func (b gruBackbone) forward(s *rnnScratch, seq [][]float64) []float64 {
-	hs := b.m.ForwardTape(&s.gru, seq)
-	return hs[len(hs)-1]
-}
-func (b gruBackbone) backward(s *rnnScratch, g []float64) {
-	gh := s.ghSpine(s.gru.T())
-	gh[len(gh)-1] = g
-	b.m.Backward(&s.gru, gh)
-}
-
 // prismScratch bundles every reusable buffer of one forward/backward pass:
-// per-carrier backbone tapes, fusion and head MLP tapes, and a bump arena
+// per-carrier encoder tapes, fusion and head MLP tapes, and a bump arena
 // for the glue vectors. Kept in a sync.Pool so concurrent forwards (the
 // serving path, the training loop's helper) each grab their own. As a
 // predictors.Tape it holds a training pass's window and the forward
@@ -135,7 +80,7 @@ func (b gruBackbone) backward(s *rnnScratch, g []float64) {
 type prismScratch struct {
 	p      *Prism5G
 	w      trace.Window
-	rnns   [trace.MaxCC]rnnScratch
+	rnns   [trace.MaxCC]predictors.EncoderTape
 	ftape  nn.MLPTape
 	htapes [trace.MaxCC]nn.MLPTape
 	ar     nn.Arena
@@ -154,7 +99,7 @@ type Prism5G struct {
 
 	// rnns holds the per-CC backbones: one entry shared across carriers
 	// (the paper's θ1 weight sharing) or MaxCC independent ones.
-	rnns   []rnn
+	rnns   []predictors.Encoder
 	embed  *nn.Dense // mask (C*T) -> Hidden
 	fusion *nn.MLP   // (C*Hidden + Hidden) -> Hidden, θ2
 	head   *nn.MLP   // Hidden -> Horizon, shared θ3
@@ -177,14 +122,12 @@ func New(opts Options, historyT int) *Prism5G {
 	if !opts.SharedWeights {
 		numRNNs = trace.MaxCC
 	}
+	newEncoder := predictors.NewLSTMEncoder
+	if opts.Backbone == "gru" {
+		newEncoder = predictors.NewGRUEncoder
+	}
 	for i := 0; i < numRNNs; i++ {
-		name := fmt.Sprintf("prism.rnn%d", i)
-		switch opts.Backbone {
-		case "gru":
-			p.rnns = append(p.rnns, gruBackbone{nn.NewGRU(name, trace.NumCCFeatures, h, src)})
-		default:
-			p.rnns = append(p.rnns, lstmBackbone{nn.NewLSTM(name, trace.NumCCFeatures, h, src)})
-		}
+		p.rnns = append(p.rnns, newEncoder(fmt.Sprintf("prism.rnn%d", i), trace.NumCCFeatures, h, src))
 	}
 	p.embed = nn.NewDense("prism.embed", trace.MaxCC*historyT, h, src)
 	p.fusion = nn.NewMLP("prism.fusion", []int{trace.MaxCC*h + h, h, h}, src)
@@ -193,7 +136,7 @@ func New(opts Options, historyT int) *Prism5G {
 }
 
 // rnnFor returns the backbone serving carrier slot c.
-func (p *Prism5G) rnnFor(c int) rnn {
+func (p *Prism5G) rnnFor(c int) predictors.Encoder {
 	if len(p.rnns) == 1 {
 		return p.rnns[0]
 	}
@@ -285,7 +228,7 @@ func (p *Prism5G) forward(s *prismScratch, w trace.Window, perCC [][]float64) []
 	// --- Shared (or per-CC) RNN ---
 	hcs := s.ar.Rows(C)
 	for c := 0; c < C; c++ {
-		hcs[c] = p.rnnFor(c).forward(&s.rnns[c], seqs[c*T:(c+1)*T])
+		hcs[c] = p.rnnFor(c).Forward(&s.rnns[c], seqs[c*T:(c+1)*T])
 	}
 
 	// --- Embedding + fusion ---
@@ -386,7 +329,7 @@ func (p *Prism5G) backward(s *prismScratch, gScale float64) {
 		}
 	}
 	for c := 0; c < C; c++ {
-		p.rnnFor(c).backward(&s.rnns[c], ghcs[c])
+		p.rnnFor(c).Backward(&s.rnns[c], ghcs[c])
 	}
 }
 

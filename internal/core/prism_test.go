@@ -338,7 +338,7 @@ func TestPrismBackboneDefault(t *testing.T) {
 	if len(p.rnns) != 1 {
 		t.Fatal("default should be one shared backbone")
 	}
-	if _, ok := p.rnns[0].(lstmBackbone); !ok {
+	if wx := p.rnns[0].Params()[0]; wx.Size() != 4*o.Hidden*trace.NumCCFeatures {
 		t.Fatal("default backbone should be LSTM")
 	}
 }
