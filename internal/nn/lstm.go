@@ -112,8 +112,9 @@ func (l *LSTM) ForwardTape(t *LSTMTape, seq [][]float64, h0, c0 []float64) [][]f
 	return t.h
 }
 
-// Backward runs BPTT. gh is the gradient of the loss with respect to each
-// hidden state (len T; entries may be nil meaning zero). It accumulates
+// Backward runs BPTT. gh is the gradient of the loss with respect to the
+// hidden states of the last len(gh) steps (len T covers every step, and a
+// one-entry gh just the final state; nil entries mean zero). It accumulates
 // parameter gradients and returns the gradients with respect to the
 // initial hidden and cell states; no caller reads gradients with respect
 // to the inputs, so they are not computed. Returned slices are views into
@@ -145,9 +146,9 @@ func (l *LSTM) BackwardWithCellGrad(tape *LSTMTape, gh [][]float64, dcT []float6
 	dc := ar.Floats(H)
 	for t := T - 1; t >= 0; t-- {
 		copy(dh, dhNext)
-		if t < len(gh) && gh[t] != nil {
+		if i := t - T + len(gh); i >= 0 && gh[i] != nil {
 			for h := 0; h < H; h++ {
-				dh[h] += gh[t][h]
+				dh[h] += gh[i][h]
 			}
 		}
 		iv, fv, gv, ov := tape.i[t], tape.f[t], tape.g[t], tape.o[t]

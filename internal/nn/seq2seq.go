@@ -125,11 +125,7 @@ func (s *Seq2Seq) Backward(tape *Seq2SeqTape, gPred []float64) {
 		gh[k] = s.Head.BackwardInto(ar.Floats(s.Head.In), h, gy)
 	}
 	dh0, dc0 := s.Dec.Backward(&tape.decTape, gh)
-	// Push the state gradients into the encoder's last step.
-	encGh := ar.Rows(tape.encTape.T())
-	if tape.encTape.T() > 0 {
-		encGh[tape.encTape.T()-1] = dh0
-	}
-	// dc0 flows into the encoder's terminal cell state.
-	s.Enc.BackwardWithCellGrad(&tape.encTape, encGh, dc0)
+	// Push the state gradients into the encoder's last step; dc0 flows
+	// into its terminal cell state.
+	s.Enc.BackwardWithCellGrad(&tape.encTape, [][]float64{dh0}, dc0)
 }
