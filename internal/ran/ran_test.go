@@ -108,7 +108,7 @@ func TestOpZDeploysNoMmWaveOpXDoes(t *testing.T) {
 func TestCandidateCellsRespectCoverage(t *testing.T) {
 	n := NewNetwork(spectrum.OpZ, mobility.Urban, rng.New(7))
 	p := mobility.Point{X: 750, Y: 750}
-	cands := n.CandidateCells(p, spectrum.NR)
+	cands := n.CandidateCells(nil, p, spectrum.NR)
 	if len(cands) == 0 {
 		t.Fatal("no NR candidates at map center")
 	}
