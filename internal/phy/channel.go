@@ -16,24 +16,28 @@ const (
 	shadowDecorrelationM = 37.0
 )
 
-// PathLossLOS returns the UMa line-of-sight path loss in dB for a 3D
+// umaPathLoss returns the UMa LOS and NLOS formula values in dB for a 3D
 // distance d (meters) and carrier frequency f (GHz), per TR 38.901
-// Table 7.4.1-1 (pre-breakpoint form).
-func PathLossLOS(dM, fGHz float64) float64 {
+// Table 7.4.1-1 (pre-breakpoint form, UE height 1.5 m). Both share one
+// logarithm of each argument.
+func umaPathLoss(dM, fGHz float64) (los, nlos float64) {
 	if dM < 1 {
 		dM = 1
 	}
-	return 28.0 + 22.0*math.Log10(dM) + 20.0*math.Log10(fGHz)
+	logD, fTerm := math.Log10(dM), 20.0*math.Log10(fGHz)
+	return 28.0 + 22.0*logD + fTerm, 13.54 + 39.08*logD + fTerm
+}
+
+// PathLossLOS returns the UMa line-of-sight path loss in dB.
+func PathLossLOS(dM, fGHz float64) float64 {
+	los, _ := umaPathLoss(dM, fGHz)
+	return los
 }
 
 // PathLossNLOS returns the UMa non-line-of-sight path loss in dB, defined as
-// the maximum of the LOS loss and the NLOS formula (UE height 1.5 m).
+// the maximum of the LOS loss and the NLOS formula.
 func PathLossNLOS(dM, fGHz float64) float64 {
-	if dM < 1 {
-		dM = 1
-	}
-	nlos := 13.54 + 39.08*math.Log10(dM) + 20.0*math.Log10(fGHz)
-	return math.Max(PathLossLOS(dM, fGHz), nlos)
+	return math.Max(umaPathLoss(dM, fGHz))
 }
 
 // LOSProbability returns the UMa probability that a link of 2D distance d
@@ -174,6 +178,8 @@ func (bs *BandState) Value() float64 { return bs.dev.Value() }
 type Link struct {
 	FreqGHz float64
 	SCSKHz  int
+	// noiseDBm is NoiseDBm(SCSKHz), fixed by NewLink.
+	noiseDBm float64
 	// Site is the shared per-site propagation state.
 	Site *SiteState
 	// Band is the shared per-(site, band) deviation.
@@ -192,11 +198,12 @@ type Link struct {
 // state.
 func NewLink(src *rng.Source, fGHz float64, scsKHz int, site *SiteState, band *BandState) *Link {
 	return &Link{
-		FreqGHz: fGHz,
-		SCSKHz:  scsKHz,
-		Site:    site,
-		Band:    band,
-		dev:     rng.NewOU(src, 0, 0.1, 1.2*math.Sqrt(0.1*(2-0.1))),
+		FreqGHz:  fGHz,
+		SCSKHz:   scsKHz,
+		noiseDBm: NoiseDBm(scsKHz),
+		Site:     site,
+		Band:     band,
+		dev:      rng.NewOU(src, 0, 0.1, 1.2*math.Sqrt(0.1*(2-0.1))),
 	}
 }
 
@@ -254,8 +261,8 @@ func (l *Link) Evaluate(dM float64, indoor bool, loadINR float64) RadioState {
 	if rsrp < -140 {
 		rsrp = -140 // detection floor
 	}
-	noise := NoiseDBm(l.SCSKHz)
-	sinr := rsrp - noise - 10*math.Log10(1+loadINR)
+	interfDB := 10 * math.Log10(1+loadINR)
+	sinr := rsrp - l.noiseDBm - interfDB
 	if sinr > 32 {
 		sinr = 32 // practical ceiling: EVM, pilot contamination
 	}
@@ -266,7 +273,7 @@ func (l *Link) Evaluate(dM float64, indoor bool, loadINR float64) RadioState {
 	// power plus interference this reduces to roughly -10.8 dB minus the
 	// interference-plus-noise excess.
 	snrLin := math.Pow(10, sinr/10)
-	rsrq := -10.8 - 10*math.Log10(1+loadINR) - 10*math.Log10(1+3/math.Max(snrLin, 0.1))/3
+	rsrq := -10.8 - interfDB - 10*math.Log10(1+3/math.Max(snrLin, 0.1))/3
 	if rsrq < -19.5 {
 		rsrq = -19.5
 	}
