@@ -33,8 +33,10 @@ bench:
 bench-json:
 	./scripts/benchjson.sh
 
-# Allocation-regression gate: re-measure the two hot-path benchmarks and
-# fail if allocs/op regressed >20% against the checked-in BENCH_obs.json.
+# Allocation-regression gate: re-measure the three hot-path benchmarks
+# (BenchmarkTrainLoop, BenchmarkParallelTable4/workers=1 and
+# BenchmarkPopulationBuild/pop=64) and fail if allocs/op regressed >20%
+# against the checked-in BENCH_obs.json and BENCH_pop.json.
 alloc-gate:
 	./scripts/allocgate.sh
 
