@@ -246,7 +246,7 @@ func Fig4UrbanCAMap(op spectrum.Operator, seed uint64) []GridCell {
 	grid := map[[2]int]*acc{}
 	for r := 0; r < 4; r++ {
 		src := rng.New(seed + uint64(r)*31)
-		eng := ran.NewEngine(net, ran.NewUE(ran.ModemX70), ran.DefaultConfig(spectrum.NR), src)
+		eng := ran.NewEngine(net, ran.NewUE(ran.ModemX70), spectrum.NR, src)
 		mv := mobility.NewMover(mobility.Urban, mobility.Driving,
 			mobility.Point{X: 300 + 300*float64(r), Y: 750}, src)
 		for i := 0; i < 1200; i++ {

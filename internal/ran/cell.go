@@ -127,16 +127,13 @@ const loadTauS = 40.0
 // loadStd is the stationary standard deviation of the load process.
 const loadStd = 0.06
 
-// StepLoad advances the load process by dt seconds and applies the
-// time-of-day multiplier (1.0 at the paper's midnight measurement window;
-// rush hour pushes ~1.9x). The process dynamics are dt-aware so the same
-// physics holds at 10 ms and 1 s sampling.
-func (c *Cell) StepLoad(todMultiplier, dt float64) {
-	theta := 1 - math.Exp(-dt/loadTauS)
-	c.load.Theta = theta
-	c.load.Sigma = loadStd * math.Sqrt(theta*(2-theta))
-	c.load.Mean = c.baseLoad * todMultiplier
-	c.load.Step()
+// retuneOU returns the per-step reversion rate theta = 1-exp(-dt/tauS) and
+// noise scale sigma = std*sqrt(theta*(2-theta)) under which an OU process
+// stepped every dt seconds keeps decorrelation time tauS and stationary
+// std-dev std, so the same physics holds at 10 ms and 1 s sampling.
+func retuneOU(tauS, std, dt float64) (theta, sigma float64) {
+	theta = 1 - math.Exp(-dt/tauS)
+	return theta, std * math.Sqrt(theta*(2-theta))
 }
 
 // Network is an operator's RAN deployed over a scenario: all cells of all
@@ -341,9 +338,14 @@ func (n *Network) CandidateCells(dst []*Cell, p mobility.Point, tech spectrum.Te
 	return dst
 }
 
-// StepLoads advances every cell's background-load process by dt seconds.
+// StepLoads advances every cell's background-load process by dt seconds
+// and applies the time-of-day multiplier (1.0 at the paper's midnight
+// measurement window; rush hour pushes ~1.9x).
 func (n *Network) StepLoads(todMultiplier, dt float64) {
+	theta, sigma := retuneOU(loadTauS, loadStd, dt)
 	for _, c := range n.Cells {
-		c.StepLoad(todMultiplier, dt)
+		c.load.Theta, c.load.Sigma = theta, sigma
+		c.load.Mean = c.baseLoad * todMultiplier
+		c.load.Step()
 	}
 }

@@ -72,7 +72,7 @@ func TestEngineINRMatchesReference(t *testing.T) {
 	for _, tc := range cases {
 		src := rng.New(tc.seed)
 		n := NewNetwork(tc.op, tc.sc, src)
-		e := NewEngine(n, NewUE(ModemX70), DefaultConfig(spectrum.NR), src)
+		e := NewEngine(n, NewUE(ModemX70), spectrum.NR, src)
 		r := rng.New(tc.seed + 1000)
 		ext := tc.sc.ExtentM()
 		randPoint := func() mobility.Point {
@@ -140,7 +140,7 @@ func BenchmarkEngineStep(b *testing.B) {
 	src := rng.New(17)
 	sc := mobility.Urban
 	n := NewNetwork(spectrum.OpZ, sc, src)
-	e := NewEngine(n, NewUE(ModemX70), DefaultConfig(spectrum.NR), src)
+	e := NewEngine(n, NewUE(ModemX70), spectrum.NR, src)
 	const dt = 0.2
 	mv := mobility.NewMover(sc, mobility.Driving, mobility.Point{X: sc.ExtentM() / 2, Y: sc.ExtentM() / 2}, src)
 	path := make([]mobility.Point, 1024)

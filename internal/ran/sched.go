@@ -57,67 +57,56 @@ type Scheduler struct {
 	fading map[int]*rng.OU
 	// shareNoise jitters the scheduler's RB share per CC.
 	shareNoise map[int]*rng.OU
+}
 
-	// PDSCHOffsetDeepCA is the PDSCH power reduction (dB) applied to FDD
+// The scheduler's CA policy, calibrated once for the study (DESIGN §7).
+const (
+	// pdschOffsetDeepCADB is the PDSCH power reduction (dB) applied to FDD
 	// SCells in combos of three or more CCs.
-	PDSCHOffsetDeepCA float64
-	// AggBWBudgetMHz is the aggregate bandwidth beyond which extra
+	pdschOffsetDeepCADB = -10.0
+	// aggBWBudgetMHz is the aggregate bandwidth beyond which extra
 	// SCells get RB-throttled under load.
-	AggBWBudgetMHz float64
-	// SchedulingEfficiency models HARQ round-trips, control gaps and
+	aggBWBudgetMHz = 120.0
+	// schedulingEfficiency models HARQ round-trips, control gaps and
 	// imperfect link adaptation (multiplies goodput).
-	SchedulingEfficiency float64
-	// CAOverheadPerCC is the per-additional-CC goodput overhead of
+	schedulingEfficiency = 0.86
+	// caOverheadPerCC is the per-additional-CC goodput overhead of
 	// splitting one UE's traffic across carriers (MAC multiplexing,
 	// per-CC power sharing, transport-layer underfill). This is why the
 	// aggregate throughput is less than the sum of the standalone
 	// carriers (paper Fig 6 / §4.3).
-	CAOverheadPerCC float64
-}
+	caOverheadPerCC = 0.09
+)
 
-// NewScheduler creates a scheduler with the study's default policy knobs.
+// NewScheduler creates a scheduler with its own random stream.
 func NewScheduler(src *rng.Source) *Scheduler {
 	return &Scheduler{
-		src:                  src.Split(),
-		fading:               map[int]*rng.OU{},
-		shareNoise:           map[int]*rng.OU{},
-		PDSCHOffsetDeepCA:    -10,
-		AggBWBudgetMHz:       120,
-		SchedulingEfficiency: 0.86,
-		CAOverheadPerCC:      0.09,
+		src:        src.Split(),
+		fading:     map[int]*rng.OU{},
+		shareNoise: map[int]*rng.OU{},
 	}
 }
 
-// fadingTauS and shareTauS are the decorrelation time constants of the
-// fast-fading and scheduler-share processes.
+// Decorrelation time constants of the fast-fading and scheduler-share
+// processes, and the share jitter's stationary std-dev.
 const (
 	fadingTauS = 0.06
 	shareTauS  = 3.0
+	shareStd   = 0.05
 )
 
-func (s *Scheduler) fadingFor(pci int, sigma, dt float64) float64 {
-	theta := 1 - math.Exp(-dt/fadingTauS)
-	f, ok := s.fading[pci]
+// stepNoise advances the per-PCI process in procs by dt seconds, retuned to
+// decorrelation time tauS and stationary std-dev std, creating it on first
+// use.
+func (s *Scheduler) stepNoise(procs map[int]*rng.OU, pci int, tauS, std, dt float64) float64 {
+	theta, sigma := retuneOU(tauS, std, dt)
+	o, ok := procs[pci]
 	if !ok {
-		f = rng.NewOU(s.src, 0, theta, sigma*math.Sqrt(theta*(2-theta)))
-		s.fading[pci] = f
+		o = rng.NewOU(s.src, 0, theta, sigma)
+		procs[pci] = o
 	}
-	f.Theta = theta
-	f.Sigma = sigma * math.Sqrt(theta*(2-theta))
-	return f.Step()
-}
-
-func (s *Scheduler) shareFor(pci int, dt float64) float64 {
-	theta := 1 - math.Exp(-dt/shareTauS)
-	const std = 0.05
-	n, ok := s.shareNoise[pci]
-	if !ok {
-		n = rng.NewOU(s.src, 0, theta, std*math.Sqrt(theta*(2-theta)))
-		s.shareNoise[pci] = n
-	}
-	n.Theta = theta
-	n.Sigma = std * math.Sqrt(theta*(2-theta))
-	return n.Step()
+	o.Theta, o.Sigma = theta, sigma
+	return o.Step()
 }
 
 // fadingSigma returns the fast-fading std-dev (dB) for a mobility pattern
@@ -230,9 +219,9 @@ func (s *Scheduler) observe(e *Engine, p mobility.Point, pat mobility.Mobility, 
 	ulCCs := 0
 	for _, sc := range serving {
 		cell := sc.Cell
-		rs := e.MeasureServing(sc, p, indoor)
+		rs := e.measure(cell, p, indoor)
 		fr2 := cell.Chan.Band.Tech == spectrum.NR && cell.Chan.Band.Range() == spectrum.FR2
-		fade := s.fadingFor(cell.PCI, fadingSigma(pat, fr2), dt)
+		fade := s.stepNoise(s.fading, cell.PCI, fadingTauS, fadingSigma(pat, fr2), dt)
 
 		// Reported quantities come from SSB measurements: unaffected by
 		// PDSCH power policy.
@@ -245,7 +234,7 @@ func (s *Scheduler) observe(e *Engine, p mobility.Point, pat mobility.Mobility, 
 		// while the SSB-derived RSRP/CQI stay put.
 		maxRank := cell.MaxRank
 		if !sc.IsPCell && numCCs >= 3 && cell.Chan.Band.Duplex == spectrum.FDD {
-			effSINR := reportedSINR + s.PDSCHOffsetDeepCA
+			effSINR := reportedSINR + pdschOffsetDeepCADB
 			maxRank = phy.RankFromSINR(effSINR, 1)
 		}
 		layers := phy.RankFromSINR(reportedSINR, maxRank)
@@ -253,14 +242,14 @@ func (s *Scheduler) observe(e *Engine, p mobility.Point, pat mobility.Mobility, 
 
 		// RB share: background load plus CA throttling (paper Fig 15).
 		load := cell.Load()
-		share := 0.95 - 0.72*load + s.shareFor(cell.PCI, dt)
+		share := 0.95 - 0.72*load + s.stepNoise(s.shareNoise, cell.PCI, shareTauS, shareStd, dt)
 		if !fr2 {
 			// The FR1 bandwidth budget: once the aggregate exceeds it,
 			// further SCells are deprioritized, increasingly so when
 			// the cell is busy. mmWave carriers have their own radio
 			// and do not count against it.
 			cumBW += cell.Chan.BandwidthMHz
-			if !sc.IsPCell && cumBW > s.AggBWBudgetMHz {
+			if !sc.IsPCell && cumBW > aggBWBudgetMHz {
 				share *= 0.55 - 0.45*load
 			}
 		}
@@ -271,7 +260,7 @@ func (s *Scheduler) observe(e *Engine, p mobility.Point, pat mobility.Mobility, 
 		// it otherwise — while the aggregate stays below the sum of the
 		// standalone carriers (paper Fig 6).
 		if numCCs > 1 {
-			rate := s.CAOverheadPerCC
+			rate := caOverheadPerCC
 			floor := 0.72
 			if sc.IsPCell {
 				rate *= 0.4
@@ -330,7 +319,7 @@ func (s *Scheduler) observe(e *Engine, p mobility.Point, pat mobility.Mobility, 
 			nRE := phy.NumRE(int(rb), phy.SymbolsPerSlot-1)
 			bitsPerSlot := phy.TBS(nRE, mcs, layers)
 			slots := float64(phy.SlotsPerSecond(cell.Chan.SCSKHz)) * slotFrac
-			tput = float64(bitsPerSlot) * slots * (1 - bler) * s.SchedulingEfficiency / 1e6
+			tput = float64(bitsPerSlot) * slots * (1 - bler) * schedulingEfficiency / 1e6
 		}
 		obs := CCObservation{
 			CellID:   cell.ID(),

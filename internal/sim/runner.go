@@ -88,9 +88,7 @@ func NewPopRunner(cfg RunConfig) *Runner {
 
 func newRunner(cfg RunConfig, net *ran.Network, src *rng.Source, stepNet bool) *Runner {
 	ue := ran.NewUE(cfg.Modem)
-	rcfg := ran.DefaultConfig(cfg.Tech)
-	rcfg.ReestablishDelayS = cfg.ReestablishDelayS
-	eng := ran.NewEngine(net, ue, rcfg, src)
+	eng := ran.NewEngine(net, ue, cfg.Tech, src)
 	if len(cfg.BandLock) > 0 {
 		eng.LockBands(cfg.BandLock...)
 	}

@@ -59,10 +59,6 @@ type RunConfig struct {
 	// gaps). Nil generates a clean trace; the same seed with and without
 	// a plan yields the same underlying campaign, degraded or not.
 	Faults *faults.FaultPlan
-	// ReestablishDelayS sets the engine's RRC re-establishment outage
-	// after an in-simulation radio link failure (0 = instant reselect,
-	// the historical behaviour).
-	ReestablishDelayS float64
 	// Direction selects which link the trace records:
 	// trace.DirectionDL (the default, empty) or trace.DirectionUL. An
 	// uplink run evolves the exact same campaign (same rng sequence,
